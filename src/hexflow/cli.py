@@ -20,10 +20,7 @@ scenario or on a mesh file:
     material.gravity = gx gy gz
 
     pressure.enabled = on|off    default: scenario's choice (on for mesh runs)
-    pressure.max_iterations = 500
-    pressure.tolerance = 1e-8
-    pressure.relaxation = 1.0
-    pressure.ordering = natural|redblack
+    pressure.tolerance = 1e-8    residual bound relative to the face flux scale
 
     coarsen.period = 10|off
     coarsen.scheme = face-area|uniform
@@ -96,13 +93,6 @@ _MATERIAL_KEYS = {
     "material.rho_inf": "rho_inf",
     "material.beta": "beta",
     "material.T_inf": "T_inf",
-}
-
-_PRESSURE_KEYS = {
-    "pressure.max_iterations": ("max_iterations", int),
-    "pressure.tolerance": ("tolerance", float),
-    "pressure.relaxation": ("relaxation", float),
-    "pressure.ordering": ("ordering", str),
 }
 
 
@@ -242,23 +232,16 @@ def _assemble(pairs, probes, origin) -> RunConfig:
     # pressure solver group
     ent = take("pressure.enabled")
     enabled = _conv(ent, _bool, "expected on or off") if ent else None
-    pre = {}
-    pre_entries = {}
-    for key, (attr, fn) in _PRESSURE_KEYS.items():
-        ent = take(key)
-        if ent:
-            pre[attr] = _conv(ent, fn, f"bad value for {key}")
-            pre_entries[attr] = ent[1]
     pressure = base.pressure if base else PressureSolverConfig()
-    if pressure is None and (enabled is True or pre):
-        pressure = PressureSolverConfig()
-    if pre and pressure is not None:
+    ent = take("pressure.tolerance")
+    if ent:
+        tolerance = _conv(ent, float, "bad value for pressure.tolerance")
         try:
-            pressure = dataclasses.replace(pressure, **pre)
+            pressure = PressureSolverConfig(tolerance=tolerance)
         except ValueError as exc:
-            where = next((w for attr, w in pre_entries.items()
-                          if attr in str(exc)), next(iter(pre_entries.values())))
-            raise ConfigError(f"{where}: {exc}") from None
+            raise ConfigError(f"{ent[1]}: {exc}") from None
+    elif pressure is None and enabled is True:
+        pressure = PressureSolverConfig()
     if enabled is False:
         pressure = None
 
@@ -422,10 +405,7 @@ def emit_config(config: RunConfig) -> str:
         lines.append("pressure.enabled = off")
     else:
         lines.append("pressure.enabled = on")
-        lines.append(f"pressure.max_iterations = {config.pressure.max_iterations}")
         lines.append(f"pressure.tolerance = {float(config.pressure.tolerance)!r}")
-        lines.append(f"pressure.relaxation = {float(config.pressure.relaxation)!r}")
-        lines.append(f"pressure.ordering = {config.pressure.ordering}")
     if config.coarsening is None:
         lines.append("coarsen.period = off")
     else:

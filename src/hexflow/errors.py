@@ -41,8 +41,8 @@ class BoundaryTagError(ConfigError):
 
 
 class PressureConvergenceError(HexflowError):
-    """Pressure iteration failed to reach tolerance within the allowed
-    number of iterations."""
+    """Pressure solve cannot reach its tolerance: the net boundary flux
+    makes the problem incompatible, or the iteration stalled."""
 
     def __init__(self, msg, iterations=None, residual=None):
         super().__init__(msg)

@@ -311,7 +311,6 @@ class Mesh:
 
     neighbor_cell: np.ndarray  # (nc, 6), -1 where boundary
     neighbor_face: np.ndarray  # (nc, 6), -1 where boundary
-    colors: np.ndarray | None = None  # (nc,) 0/1 when the cell graph is bipartite
 
     _tag_groups: dict = field(default_factory=dict, repr=False)
 
@@ -347,8 +346,6 @@ class Mesh:
             "neighbor_cell", "neighbor_face",
         ):
             getattr(self, name).flags.writeable = False
-        if self.colors is not None:
-            self.colors.flags.writeable = False
 
 
 def _face_key(cell_verts, f):
@@ -379,27 +376,6 @@ def _tangent_match(cells, ca, fa, cb, fb):
         axes[slot] = EDGE_TABLE[eid_b][2]
         signs[slot] = sign
     return axes, signs
-
-
-def _two_color(n, nbr):
-    """BFS 2-coloring of the cell adjacency; None when not bipartite."""
-    color = np.full(n, -1, dtype=np.int8)
-    for seed in range(n):
-        if color[seed] >= 0:
-            continue
-        color[seed] = 0
-        stack = [seed]
-        while stack:
-            c = stack.pop()
-            for other in nbr[c]:
-                if other < 0:
-                    continue
-                if color[other] < 0:
-                    color[other] = 1 - color[c]
-                    stack.append(int(other))
-                elif color[other] == color[c]:
-                    return None
-    return color.astype(np.intp)
 
 
 def build_mesh(vertices, hexes, boundary) -> Mesh:
@@ -573,7 +549,6 @@ def build_mesh(vertices, hexes, boundary) -> Mesh:
         tags=tuple(tag_names),
         neighbor_cell=neighbor_cell,
         neighbor_face=neighbor_face,
-        colors=_two_color(nc, neighbor_cell),
     )
     groups = {}
     for i, tag in enumerate(mesh.tags):

@@ -1,4 +1,4 @@
-"""Iterative pressure correction enforcing discrete incompressibility.
+"""Pressure correction enforcing discrete incompressibility.
 
 After the face sweep has produced fresh velocity ports, each cell
 carries a boundary divergence integral I = sum over faces of u.f.  The
@@ -8,13 +8,14 @@ gradient flux balances it cell by cell:
     tau * (sum over faces of grad-p flux) = rho_inf * I
 
 a pure-Neumann Poisson problem (boundary faces carry zero normal
-pressure gradient), solved by relaxation sweeps over the cells with the
-face pressures re-established between sweeps.  One reference cell is
-pinned to remove the additive constant.
-
-Two cell orderings are available: "natural" visits cells sequentially
-(classic Gauss-Seidel), "redblack" runs two vectorized half-sweeps over
-the mesh two-coloring and is the fast path on structured meshes.
+pressure gradient).  Eliminating the shared port at every interior face
+turns each flux into S = H*(p - p_nb) + C, with H fixed by the mesh and
+C by the in-plane face fluxes.  For a given C the nodal pressures solve
+a symmetric graph Laplacian in H, which Jacobi-preconditioned conjugate
+gradients handles; the face pressures are then re-established, C is
+refreshed and the pass repeats until every cell balances.  On orthogonal
+cells C vanishes and one pass does.  One reference cell is pinned to
+remove the additive constant.  The tolerance is the only setting.
 """
 
 import numpy as np
@@ -26,31 +27,22 @@ from .connection import (
     one_sided_face_value,
     update_interface,
 )
-from .errors import DegenerateCellError, PressureConvergenceError, SingularInterfaceError
-
-ORDERINGS = ("natural", "redblack")
+from .errors import PressureConvergenceError, SingularInterfaceError
 
 _SINGULAR_RTOL = 1e-14
+
+# conjugate gradients needs at most one iteration per active cell in
+# exact arithmetic; a pass that runs past this multiple has stalled
+_STALL_FACTOR = 4
 
 
 @dataclass(frozen=True)
 class PressureSolverConfig:
-    max_iterations: int = 500
     tolerance: float = 1e-8
-    relaxation: float = 1.0
-    ordering: str = "natural"
 
     def __post_init__(self):
-        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
-            raise ValueError("max_iterations must be an integer >= 1")
         if not (self.tolerance > 0.0 and np.isfinite(self.tolerance)):
             raise ValueError("tolerance must be positive and finite")
-        if not (0.0 < self.relaxation < 2.0):
-            raise ValueError(
-                f"relaxation factor must lie in (0, 2), got {self.relaxation}")
-        if self.ordering not in ORDERINGS:
-            raise ValueError(
-                f"unknown ordering {self.ordering!r}; pick from {ORDERINGS}")
 
 
 def cell_divergence_integral(mesh, face_u: np.ndarray) -> np.ndarray:
@@ -75,25 +67,6 @@ def pressure_residual(mesh, cell_p, face_p, div_integral, tau, rho_inf) -> np.nd
     """Signed per-cell defect tau*(sum of gradient flux) - rho_inf*I."""
     return tau * gradient_flux(mesh, cell_p, face_p).sum(axis=1) \
         - rho_inf * div_integral
-
-
-def pressure_cell_solve(mesh, cell_p, face_p, div_integral, tau, rho_inf,
-                        relaxation: float = 1.0) -> np.ndarray:
-    """Per-cell exact compensation with all six face pressures held fixed.
-
-    Returns the nodal pressures solving each cell's balance equation
-    (relaxed by the SOR factor), computed as an increment off the current
-    value so an already-balanced cell comes back bit-identical.
-    """
-    g = mesh.pair_coeff
-    diag = g.sum(axis=1)
-    bad = np.abs(diag) <= _SINGULAR_RTOL * np.abs(g).sum(axis=1)
-    if bad.any():
-        raise DegenerateCellError(
-            f"zero diagonal in pressure equation of cell {int(np.argmax(bad))}")
-    defect = rho_inf * div_integral / tau \
-        - gradient_flux(mesh, cell_p, face_p).sum(axis=1)
-    return cell_p + relaxation * (defect / diag)
 
 
 def pressure_face_sweep(mesh, cell_p, face_p, sz=None) -> np.ndarray:
@@ -142,7 +115,7 @@ def _interface_coupling(mesh):
 
     Eliminating the shared port between two cells turns the flux into
     S = H*(p - p_nb) + C; this returns H, which depends on the mesh only,
-    so the solver hoists it out of the relaxation loop.  Boundary faces
+    so the solver hoists it out of its outer loop.  Boundary faces
     carry zeros (their pressure flux vanishes by the boundary rule).
     """
     g = mesh.pair_coeff
@@ -160,82 +133,124 @@ def _interface_coupling(mesh):
     return H
 
 
+def _conjugate_gradients(apply, inv_diag, x, b, tol, budget):
+    """Jacobi-preconditioned CG on apply(x) = b, updating x in place.
+
+    Stops once the max-norm residual is at most ``tol`` or after
+    ``budget`` iterations; returns the iterations used.
+    """
+    r = b - apply(x)
+    # no iteration gets below the rounding of the starting residual
+    tol = max(tol, np.finfo(float).eps * np.abs(r).max())
+    k = 0
+    while k < budget and np.abs(r).max() > tol:
+        z = inv_diag * r
+        rz_next = r @ z
+        d = z if k == 0 else z + (rz_next / rz) * d
+        rz = rz_next
+        q = apply(d)
+        alpha = rz / (d @ q)
+        x += alpha * d
+        r -= alpha * q
+        k += 1
+    return k
+
+
 def pressure_iterate(mesh, state, tau: float, rho_inf: float,
                      config: PressureSolverConfig = None):
     """Drive the pressure field to compensate the velocity divergence.
 
     Mutates state.cell_p and state.face_p in place and returns
-    (iterations_used, residual_history).  The convergence threshold is
-    config.tolerance times the largest per-face mass flux magnitude
-    (absolute when the ports are entirely quiescent).  Raises
-    PressureConvergenceError when max_iterations passes do not reach it.
+    (iterations_used, residual_history): the conjugate-gradient
+    iterations over all passes, and the max-norm cell residual after
+    each pass.  The convergence threshold is config.tolerance times the
+    largest per-face mass flux magnitude (absolute when the ports are
+    entirely quiescent).  Raises PressureConvergenceError when the net
+    boundary flux makes the problem unsolvable, or when the solve
+    stalls: a pass needs more than a few iterations per active cell, or
+    fails to lower the residual.
     """
     if config is None:
         config = PressureSolverConfig()
     if not state.ready_for_cell_sweep:
         raise ValueError("pressure correction runs on fresh velocity ports")
-    if config.ordering == "redblack" and mesh.colors is None:
-        raise ValueError("redblack ordering needs a two-colorable mesh")
 
     div = cell_divergence_integral(mesh, state.face_u)
     flux_scale = rho_inf * np.abs(
         np.einsum("cfk,cfk->cf", state.face_u, mesh.face_vecs)).max()
     threshold = config.tolerance * flux_scale if flux_scale > 0.0 else config.tolerance
 
-    history = []
     resid = np.abs(pressure_residual(
         mesh, state.cell_p, state.face_p, div, tau, rho_inf)).max()
     if resid <= threshold:
         # already balanced: leave the field bit-identical
         return 0, [float(resid)]
 
+    # with the boundary gradient fluxes zeroed by the face sweep, the
+    # cell residuals sum to -rho_inf * (net boundary flux) whatever the
+    # pressure, so past this bound some cell can never balance
+    net = np.einsum("bk,bk->", state.face_u[mesh.bcell, mesh.bface],
+                    mesh.face_vecs[mesh.bcell, mesh.bface])
+    if rho_inf * abs(net) > mesh.n_cells * threshold:
+        raise PressureConvergenceError(
+            f"pressure problem is incompatible: net boundary flux {net:.3e} "
+            f"leaves a mean cell residual above the threshold {threshold:.3e}",
+            iterations=0, residual=float(resid))
+
     # pin by constant shift: gradients unchanged, cell 0 lands at zero
     p = state.cell_p - state.cell_p[0]
     fp = state.face_p - state.cell_p[0]
 
-    omega = config.relaxation
-    rhs_base = rho_inf * div / tau
-    nb_cell = np.where(mesh.neighbor_cell < 0, 0, mesh.neighbor_cell)
     g = mesh.pair_coeff
-    H = _interface_coupling(mesh)
-    diag = H.sum(axis=1)
-    # all cells sweep; the constant mode is exactly invariant, so the
-    # reference shift at the end settles the additive freedom.  Cells
-    # with no interior faces have nothing to solve and are skipped.
-    active = np.abs(diag) > 0.0
+    nb_cell = np.where(mesh.neighbor_cell < 0, 0, mesh.neighbor_cell)
+    # h = ga*gb/(ga+gb) is negative on valid cells, so CG runs on the
+    # positive semi-definite negation of the flux operator,
+    # sum over faces of W*(p - p_nb)
+    W = -_interface_coupling(mesh)
+    diag = W.sum(axis=1)
+    active = diag > 0.0
+    # cells without interior faces get no update and never move
+    inv_diag = np.divide(1.0, diag, out=np.zeros_like(diag), where=active)
+    limit = _STALL_FACTOR * int(active.sum())
+
+    def apply(v):
+        return diag * v - np.einsum("cf,cf->c", W, v[nb_cell])
+
     ia, fa = mesh.icell_a, mesh.iface_a
     ib, fb = mesh.icell_b, mesh.iface_b
     ga, gb = g[ia, fa], g[ib, fb]
     C = np.zeros_like(g)
     t = _tangential_flux_part(mesh, fp)
     iterations = 0
-    for _ in range(config.max_iterations):
+    history = []
+    while resid > threshold:
         # offset half of the interface elimination, from the current
         # in-plane fluxes
         c = (gb * t[ia, fa] - ga * t[ib, fb]) / (ga + gb)
         C[ia, fa] = c
         C[ib, fb] = -c
-        rhs = rhs_base - C.sum(axis=1)
-        if config.ordering == "natural":
-            for z in np.flatnonzero(active):
-                acc = H[z] @ p[nb_cell[z]]
-                p[z] = (1.0 - omega) * p[z] + omega * (rhs[z] + acc) / diag[z]
-        else:
-            for color in (0, 1):
-                cells = np.flatnonzero(active & (mesh.colors == color))
-                acc = np.einsum("cf,cf->c", H[cells], p[nb_cell[cells]])
-                p[cells] = (1.0 - omega) * p[cells] \
-                    + omega * (rhs[cells] + acc) / diag[cells]
+        b = C.sum(axis=1) - rho_inf * div / tau
+        # the constant mode is outside the operator's range; dropping it
+        # from b keeps CG stable and spreads the leftover evenly
+        if active.any():
+            b = np.where(active, b - b[active].mean(), 0.0)
+        # the refreshed in-plane fluxes move b again, so after the first
+        # pass a tenth of the last residual is close enough
+        target = 0.5 * threshold
+        if history:
+            target = max(target, 0.1 * resid)
+        k = _conjugate_gradients(apply, inv_diag, p, b, target / tau, limit)
+        iterations += k
         # the in-plane fluxes never see the nodal values, so t feeds the
         # face sweep through sz = t + g*p and is refreshed only after the
         # ports move
         fp = pressure_face_sweep(mesh, p, fp, sz=t + g * p[:, None])
-        iterations += 1
         t = _tangential_flux_part(mesh, fp)
         flux = t + g * (p[:, None] - fp)
+        previous = resid
         resid = np.abs(tau * flux.sum(axis=1) - rho_inf * div).max()
         history.append(float(resid))
-        if resid <= threshold:
+        if k >= limit or resid >= previous:
             break
     fp = fp - p[0]
     p = p - p[0]
@@ -244,6 +259,6 @@ def pressure_iterate(mesh, state, tau: float, rho_inf: float,
     if resid > threshold:
         raise PressureConvergenceError(
             f"pressure iteration stalled at residual {resid:.3e} "
-            f"(threshold {threshold:.3e}) after {iterations} sweeps",
+            f"(threshold {threshold:.3e}) after {iterations} iterations",
             iterations=iterations, residual=float(resid))
     return iterations, history

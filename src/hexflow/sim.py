@@ -413,8 +413,7 @@ def _cavity(resolution, parameters):
         tau=p["tau"],
         props=MaterialProps(eta=p["nu"]),
         coarsening=_coarsening(p["coarsen_period"]),
-        pressure=PressureSolverConfig(max_iterations=4000, tolerance=1e-6,
-                                      relaxation=1.7, ordering="redblack"),
+        pressure=PressureSolverConfig(tolerance=1e-6),
         bcs=bcs)
     state = FieldState.uniform(mesh.n_cells)
     return mesh, config, state
@@ -442,8 +441,7 @@ def _step_channel(resolution, parameters):
         tau=p["tau"],
         props=MaterialProps(eta=p["nu"]),
         coarsening=_coarsening(p["coarsen_period"]),
-        pressure=PressureSolverConfig(max_iterations=8000, tolerance=1e-4,
-                                      relaxation=1.88, ordering="redblack"),
+        pressure=PressureSolverConfig(tolerance=1e-4),
         bcs=bcs)
     state = FieldState.uniform(mesh.n_cells)
     return mesh, config, state
@@ -477,8 +475,7 @@ def _cylinder(resolution, parameters):
         tau=p["tau"],
         props=MaterialProps(eta=nu),
         coarsening=_coarsening(p["coarsen_period"]),
-        pressure=PressureSolverConfig(max_iterations=8000, tolerance=1e-4,
-                                      relaxation=1.95, ordering="redblack"),
+        pressure=PressureSolverConfig(tolerance=1e-4),
         bcs=bcs)
     state = FieldState.uniform(mesh.n_cells, u=(u0, 0.0, 0.0))
     # deterministic cross-stream nudge behind the obstacle so the wake
@@ -511,8 +508,7 @@ def _annulus(resolution, parameters):
         props=MaterialProps(alpha=p["alpha"], eta=p["nu"], beta=p["beta"],
                             T_inf=p["T_ref"], g=(0.0, -p["gravity"], 0.0)),
         coarsening=_coarsening(p["coarsen_period"]),
-        pressure=PressureSolverConfig(max_iterations=8000, tolerance=1e-5,
-                                      relaxation=1.88, ordering="redblack"),
+        pressure=PressureSolverConfig(tolerance=1e-5),
         bcs=bcs)
     state = FieldState.uniform(mesh.n_cells, T=p["T_ref"])
     return mesh, config, state

@@ -147,8 +147,7 @@ def test_criterion_3_closed_box_conservation():
     state.face_u[:] = swirl[:, None, :]
     config = SimulationConfig(
         tau=0.002, props=MaterialProps(alpha=0.05, eta=0.02),
-        pressure=PressureSolverConfig(max_iterations=4000, tolerance=1e-7,
-                                      relaxation=1.7, ordering="redblack"),
+        pressure=PressureSolverConfig(tolerance=1e-7),
         bcs={t: BoundaryRule("adiabatic") for t in mesh.tags})
     total0 = float(np.dot(mesh.volumes, state.cell_T))
     for k in range(1, 1001):
@@ -186,8 +185,7 @@ def test_criterion_4_pressure_projection():
 
     div0 = np.abs(cell_divergence_integral(mesh, state.face_u)).max()
     scale = np.abs(np.einsum("cfk,cfk->cf", state.face_u, mesh.face_vecs)).max()
-    cfg = PressureSolverConfig(max_iterations=500, tolerance=1e-8,
-                               relaxation=1.7, ordering="redblack")
+    cfg = PressureSolverConfig(tolerance=1e-8)
     iters, history = pressure_iterate(mesh, state, tau=0.05, rho_inf=1.0,
                                       config=cfg)
     project_port_velocities(mesh, state, tau=0.05, rho_inf=1.0)

@@ -7,7 +7,8 @@ import pytest
 
 from hexflow.errors import ConfigError
 from hexflow.hexmesh import write_mesh_file
-from hexflow.sim import BoundaryRule, Probe, box_mesh
+from hexflow.pressure import PressureSolverConfig
+from hexflow.sim import BoundaryRule, Probe, box_mesh, build_scenario
 from hexflow.state import FieldState
 from hexflow import cli
 
@@ -92,7 +93,9 @@ class TestParseConfig:
         path = write_config(
             tmp_path,
             "scenario = cavity\nsteps = 1\npressure.relaxation = 2.5\n")
-        with pytest.raises(ConfigError, match=r"relaxation") as err:
+        # the solver has no relaxation factor: any value is a stale key
+        with pytest.raises(ConfigError,
+                           match=r"unknown key 'pressure\.relaxation'") as err:
             cli.parse_config(path)
         assert ":3" in str(err.value)
 
@@ -166,14 +169,12 @@ class TestParseConfig:
 
     def test_pressure_toggle_and_defaults(self, tmp_path):
         # slab has no pressure solve; switching it on applies the
-        # documented defaults (tolerance 1e-8, relaxation 1.0)
+        # documented default (tolerance 1e-8)
         path = write_config(tmp_path, (
             "scenario = slab\n"
             "pressure.enabled = on\n"))
         cfg = cli.parse_config(path)
-        assert cfg.pressure.tolerance == 1e-8
-        assert cfg.pressure.relaxation == 1.0
-        assert cfg.pressure.max_iterations == 500
+        assert cfg.pressure == PressureSolverConfig(tolerance=1e-8)
         path = write_config(tmp_path, (
             "scenario = cavity\npressure.enabled = off\n"), name="off.cfg")
         assert cli.parse_config(path).pressure is None
@@ -222,7 +223,7 @@ class TestEmitConfig:
             "param.alpha = 0.7\n"
             "material.beta = -0.003\n"
             "pressure.enabled = on\n"
-            "pressure.relaxation = 1.5\n"
+            "pressure.tolerance = 1e-06\n"
             "coarsen.period = 4\n"
             "output.format = vtk-legacy\n"
             "probe = 0.25,0.0625,0.0625 T\n"
@@ -358,6 +359,20 @@ class TestMain:
             rows = list(csv.reader(fh))
         assert rows[0] == ["time", "probe", "field", "value"]
         assert len(rows) == 1 + 4 * 5
+
+    def test_mesh_file_run_with_default_pressure_settings(self, tmp_path):
+        mesh, _, _ = build_scenario("cylinder")
+        mesh_path = tmp_path / "cylinder.mesh"
+        write_mesh_file(mesh, mesh_path)
+        path = write_config(tmp_path, "\n".join([
+            f"mesh = {mesh_path}", "tau = 0.15", "steps = 2",
+            "initial.u = 1 0 0", "material.eta = 0.053",
+            "bc.xmin = inflow 1 0 0", "bc.xmax = outflow",
+            "bc.ymin = symmetry", "bc.ymax = symmetry",
+            "bc.zmin = symmetry", "bc.zmax = symmetry", "bc.wall = wall",
+            f"output.dir = {tmp_path / 'out'}"]) + "\n")
+        assert cli.main(["run", "--config", path]) == 0
+        assert (tmp_path / "out" / "snap_000002.csv").is_file()
 
     def test_run_config_file_with_flag_override(self, tmp_path, capsys):
         path = write_config(tmp_path, "scenario = slab\nsteps = 2\n")

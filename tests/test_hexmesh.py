@@ -282,46 +282,6 @@ def test_tangent_match_identity_on_boxes():
         assert np.array_equal(m.tang_sign_b[k], [1.0, 1.0])
 
 
-def test_two_coloring_on_box():
-    m = box_mesh(4, 3, 2)
-    assert m.colors is not None
-    assert (m.colors[m.icell_a] != m.colors[m.icell_b]).all()
-
-
-def _three_sector_ring():
-    """Three hexahedra closing an annular loop: an odd cell cycle."""
-    r0, r1 = 1.0, 2.0
-    angles = np.linspace(0.0, 2 * np.pi, 4)[:3]
-    verts = []
-    for z in (0.0, 1.0):
-        for th in angles:
-            verts.append([r0 * np.cos(th), r0 * np.sin(th), z])
-            verts.append([r1 * np.cos(th), r1 * np.sin(th), z])
-    verts = np.array(verts)
-
-    def vid(sector, radial, layer):
-        return layer * 6 + (sector % 3) * 2 + radial
-
-    hexes = []
-    for s in range(3):
-        hexes.append(
-            [
-                vid(s, 0, 0), vid(s, 1, 0), vid(s + 1, 0, 0), vid(s + 1, 1, 0),
-                vid(s, 0, 1), vid(s, 1, 1), vid(s + 1, 0, 1), vid(s + 1, 1, 1),
-            ]
-        )
-    boundary = []
-    for c in range(3):
-        boundary += [(c, 0, "inner"), (c, 1, "outer"), (c, 4, "bottom"), (c, 5, "top")]
-    return build_mesh(verts, hexes, boundary)
-
-
-def test_odd_ring_has_no_two_coloring():
-    m = _three_sector_ring()
-    assert m.n_interior_faces == 3
-    assert m.colors is None
-
-
 def test_unmatched_face_rejected():
     # drop one boundary declaration
     with pytest.raises(MeshError, match="neither shared nor declared"):

@@ -1,26 +1,21 @@
-"""Pressure correction tests.
-
-Hand values: on a unit cube all six flux coefficients g equal -2 and the
-diagonal is -12, so a prescribed set of face pressures and a divergence
-integral give a one-line solve for the compensating nodal pressure.
-"""
+"""Pressure correction tests."""
 
 import numpy as np
 import pytest
 
 from conftest import UNIT_CUBE, box_mesh, jitter_warp, random_hex
-from hexflow.errors import DegenerateCellError, PressureConvergenceError
+from hexflow.errors import PressureConvergenceError
 from hexflow.hexmesh import build_mesh
 from hexflow.pressure import (
     PressureSolverConfig,
     cell_divergence_integral,
     gradient_flux,
-    pressure_cell_solve,
     pressure_face_sweep,
     pressure_iterate,
     pressure_residual,
     project_port_velocities,
 )
+from hexflow.sim import annulus_mesh
 from hexflow.state import FieldState
 
 
@@ -40,16 +35,10 @@ def ported_state(nc, rng=None):
 
 class TestConfig:
     def test_field_validation(self):
-        with pytest.raises(ValueError, match="max_iterations"):
-            PressureSolverConfig(max_iterations=0)
         with pytest.raises(ValueError, match="tolerance"):
             PressureSolverConfig(tolerance=0.0)
-        with pytest.raises(ValueError, match="relaxation"):
-            PressureSolverConfig(relaxation=2.5)
-        with pytest.raises(ValueError, match="relaxation"):
-            PressureSolverConfig(relaxation=0.0)
-        with pytest.raises(ValueError, match="ordering"):
-            PressureSolverConfig(ordering="spiral")
+        with pytest.raises(ValueError, match="tolerance"):
+            PressureSolverConfig(tolerance=float("inf"))
 
 
 class TestDivergenceIntegral:
@@ -76,41 +65,6 @@ class TestDivergenceIntegral:
             for c in range(mesh.n_cells)
         ])
         assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
-
-
-class TestCellSolve:
-    def test_balanced_cell_unchanged_bitwise(self):
-        mesh = box_mesh(2, 2, 1)
-        p = np.full(mesh.n_cells, 7.25)
-        fp = np.full((mesh.n_cells, 6), 7.25)
-        out = pressure_cell_solve(mesh, p, fp, np.zeros(mesh.n_cells), 0.1, 1.0)
-        assert np.array_equal(out, p)
-
-    def test_uniform_faces_pull_node_to_uniform_value(self):
-        rng = np.random.default_rng(23)
-        mesh = single_cell_mesh(random_hex(rng))
-        p = np.array([4.0])
-        fp = np.full((1, 6), -1.5)
-        out = pressure_cell_solve(mesh, p, fp, np.zeros(1), 0.1, 1.0)
-        assert np.allclose(out, -1.5, rtol=1e-13)
-
-    def test_unit_cube_hand_solve(self):
-        mesh = single_cell_mesh(UNIT_CUBE)
-        fp = np.arange(1.0, 7.0)[None, :]
-        p = np.zeros(1)
-        div = np.array([5.0])
-        # g = -2 per face: flux = -g*P = 2P, sum 42; defect = 2*5/0.5 - 42 = -22
-        out = pressure_cell_solve(mesh, p, fp, div, tau=0.5, rho_inf=2.0)
-        assert out[0] == 11.0 / 6.0
-        relaxed = pressure_cell_solve(mesh, p, fp, div, 0.5, 2.0, relaxation=0.5)
-        assert relaxed[0] == 11.0 / 12.0
-
-    def test_zero_diagonal_raises(self):
-        from types import SimpleNamespace
-        fake = SimpleNamespace(pair_coeff=np.zeros((1, 6)))
-        with pytest.raises(DegenerateCellError, match="diagonal"):
-            pressure_cell_solve(fake, np.zeros(1), np.zeros((1, 6)),
-                                np.zeros(1), 0.1, 1.0)
 
 
 class TestFaceSweep:
@@ -183,9 +137,9 @@ class TestIterate:
     def test_injected_divergence_monotone_residual(self):
         mesh = box_mesh(4, 4, 1, lengths=(4.0, 4.0, 1.0))
         s = self.inject(mesh, cell=5)
-        cfg = PressureSolverConfig(max_iterations=400, tolerance=1e-10)
+        cfg = PressureSolverConfig(tolerance=1e-10)
         iters, history = pressure_iterate(mesh, s, 0.1, 1.0, cfg)
-        assert 0 < iters <= 400
+        assert 0 < iters <= mesh.n_cells
         assert history[-1] <= 1e-10 * 1.0  # unit faces: flux scale is 1
         hist = np.array(history)
         assert (hist[1:] <= hist[:-1] * (1.0 + 1e-12)).all()
@@ -200,7 +154,7 @@ class TestIterate:
         sb = self.inject(mesh, cell=3)
         sb.cell_p = sb.cell_p + 5.0
         sb.face_p = sb.face_p + 5.0
-        cfg = PressureSolverConfig(max_iterations=400, tolerance=1e-11)
+        cfg = PressureSolverConfig(tolerance=1e-11)
         pressure_iterate(mesh, sa, 0.1, 1.0, cfg)
         pressure_iterate(mesh, sb, 0.1, 1.0, cfg)
         assert sa.cell_p[0] == 0.0
@@ -217,24 +171,18 @@ class TestIterate:
         r1 = pressure_residual(mesh, p + 10.0, fp + 10.0, div, 0.1, 1.0)
         assert np.allclose(r0, r1, rtol=1e-12, atol=1e-11)
 
-    def test_redblack_matches_natural_fixed_point(self):
-        mesh = box_mesh(4, 3, 1, lengths=(4.0, 3.0, 1.0))
-        sa = self.inject(mesh, cell=6)
-        sb = self.inject(mesh, cell=6)
-        cfg_n = PressureSolverConfig(max_iterations=600, tolerance=1e-11)
-        cfg_rb = PressureSolverConfig(max_iterations=600, tolerance=1e-11,
-                                      ordering="redblack")
-        pressure_iterate(mesh, sa, 0.1, 1.0, cfg_n)
-        pressure_iterate(mesh, sb, 0.1, 1.0, cfg_rb)
-        assert np.allclose(sa.cell_p, sb.cell_p, atol=1e-9)
-
-    def test_redblack_requires_coloring(self):
-        mesh = box_mesh(2, 2, 1)
-        mesh.colors = None
-        s = self.inject(mesh, cell=0)
-        cfg = PressureSolverConfig(ordering="redblack")
-        with pytest.raises(ValueError, match="two-colorable"):
-            pressure_iterate(mesh, s, 0.1, 1.0, cfg)
+    def test_solves_mesh_without_two_coloring(self):
+        # an odd number of sectors closes the ring into an odd cell cycle
+        mesh = annulus_mesh(3, 13, 1.0, 2.0)
+        s = self.inject(mesh, cell=4)
+        flux_scale = np.abs(
+            np.einsum("cfk,cfk->cf", s.face_u, mesh.face_vecs)).max()
+        iters, history = pressure_iterate(mesh, s, 0.1, 1.0)
+        div = cell_divergence_integral(mesh, s.face_u)
+        r = pressure_residual(mesh, s.cell_p, s.face_p, div, 0.1, 1.0)
+        assert iters > 0
+        assert history[-1] <= 1e-8 * flux_scale
+        assert np.abs(r).max() <= 1e-8 * flux_scale
 
     def test_quiescent_ports_use_absolute_threshold(self):
         rng = np.random.default_rng(26)
@@ -247,10 +195,25 @@ class TestIterate:
     def test_nonconvergence_error_carries_diagnostics(self):
         mesh = box_mesh(4, 4, 1, lengths=(4.0, 4.0, 1.0))
         s = self.inject(mesh, cell=5)
-        cfg = PressureSolverConfig(max_iterations=2, tolerance=1e-12)
-        with pytest.raises(PressureConvergenceError, match="threshold") as ei:
+        # no float residual reaches this threshold, so the solve stalls
+        cfg = PressureSolverConfig(tolerance=1e-300)
+        with pytest.raises(PressureConvergenceError, match="stalled") as ei:
             pressure_iterate(mesh, s, 0.1, 1.0, cfg)
-        assert ei.value.iterations == 2
+        assert ei.value.iterations > 0
+        assert ei.value.residual > 0.0
+
+    def test_net_boundary_inflow_fails_before_iterating(self):
+        rng = np.random.default_rng(28)
+        mesh = box_mesh(4, 3, 2)
+        s = ported_state(mesh.n_cells)
+        bf = mesh.face_vecs[mesh.bcell, mesh.bface]
+        inflow = -rng.uniform(0.5, 1.0, size=len(bf))[:, None] * bf \
+            / np.linalg.norm(bf, axis=1, keepdims=True)
+        s.face_u[mesh.bcell, mesh.bface] = inflow
+        with pytest.raises(PressureConvergenceError,
+                           match="net boundary flux") as ei:
+            pressure_iterate(mesh, s, 0.1, 1.0)
+        assert ei.value.iterations == 0
         assert ei.value.residual > 0.0
 
     def test_requires_fresh_ports(self):
@@ -262,7 +225,7 @@ class TestIterate:
     def test_warm_start_converges_immediately(self):
         mesh = box_mesh(4, 4, 1, lengths=(4.0, 4.0, 1.0))
         s = self.inject(mesh, cell=9)
-        cfg = PressureSolverConfig(max_iterations=400, tolerance=1e-9)
+        cfg = PressureSolverConfig(tolerance=1e-9)
         pressure_iterate(mesh, s, 0.1, 1.0, cfg)
         # rerun from the converged state: the guess is already the answer
         iters, _ = pressure_iterate(mesh, s, 0.1, 1.0, cfg)
@@ -292,23 +255,26 @@ class TestPortProjection:
         return s
 
     def test_budget_settles_to_solver_residual(self):
-        mesh = box_mesh(8, 8, 1, lengths=(1.0, 1.0, 0.125))
-        s = self.smooth_divergent_state(mesh)
-        flux_scale = np.abs(
-            np.einsum("cfk,cfk->cf", s.face_u, mesh.face_vecs)).max()
-        cfg = PressureSolverConfig(max_iterations=2000, tolerance=1e-9,
-                                   relaxation=1.6, ordering="redblack")
-        pressure_iterate(mesh, s, tau=0.05, rho_inf=1.0, config=cfg)
-        project_port_velocities(mesh, s, tau=0.05, rho_inf=1.0)
-        div = cell_divergence_integral(mesh, s.face_u)
-        assert np.abs(div).max() <= 2e-9 * flux_scale
+        # the warped mesh has in-plane coupling, so the solve runs more
+        # than one pass
+        for warp in (None, jitter_warp(10, 0.01)):
+            mesh = box_mesh(8, 8, 1, lengths=(1.0, 1.0, 0.125), warp=warp)
+            s = self.smooth_divergent_state(mesh)
+            flux_scale = np.abs(
+                np.einsum("cfk,cfk->cf", s.face_u, mesh.face_vecs)).max()
+            cfg = PressureSolverConfig(tolerance=1e-9)
+            _, history = pressure_iterate(mesh, s, tau=0.05, rho_inf=1.0,
+                                          config=cfg)
+            assert (len(history) > 1) == (warp is not None)
+            project_port_velocities(mesh, s, tau=0.05, rho_inf=1.0)
+            div = cell_divergence_integral(mesh, s.face_u)
+            assert np.abs(div).max() <= 2e-9 * flux_scale
 
     def test_interior_ports_stay_single_valued(self):
         mesh = box_mesh(4, 3, 2, warp=jitter_warp(9, 0.06))
         s = self.smooth_divergent_state(mesh, seed=7)
         before = s.face_u.copy()
-        cfg = PressureSolverConfig(max_iterations=3000, tolerance=1e-8,
-                                   relaxation=1.5)
+        cfg = PressureSolverConfig(tolerance=1e-8)
         pressure_iterate(mesh, s, 0.1, 1.0, cfg)
         project_port_velocities(mesh, s, 0.1, 1.0)
         a = s.face_u[mesh.icell_a, mesh.iface_a]

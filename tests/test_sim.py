@@ -328,10 +328,6 @@ class TestGenerators:
         assert len(mesh.boundary_group("zmin")[0]) == 48
         assert sorted(mesh.tags) == ["inner", "outer", "zmax", "zmin"]
 
-    def test_annulus_coloring_follows_parity(self):
-        assert annulus_mesh(3, 12, 1.0, 2.0).colors is not None
-        assert annulus_mesh(3, 13, 1.0, 2.0).colors is None
-
     def test_annulus_argument_validation(self):
         with pytest.raises(ValueError):
             annulus_mesh(0, 12, 1.0, 2.0)
