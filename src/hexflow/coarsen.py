@@ -1,7 +1,8 @@
 """Periodic cellular coarse-graining of nodal fields.
 
 Every ``period`` full steps, the nodal value of each targeted field is
-replaced by a convex combination of the cell's six port values.  Ports
+replaced by a convex combination of the cell's six port values; all
+targeted channels are stacked and contracted together.  Ports
 are never touched, so the cell boundary skeleton that the neighbours
 see is preserved bit for bit; only sub-cell detail invisible to the
 faces is discarded.  Applied at a sensible cadence this acts as a
@@ -19,11 +20,11 @@ import numpy as np
 
 SCHEMES = ("face-area", "uniform", "custom")
 
-# target name -> (nodal attr, port attr, true if vector-valued)
+# target name -> (nodal attr, port attr, number of channels)
 _TARGET_FIELDS = {
-    "velocity": ("cell_u", "face_u", True),
-    "temperature": ("cell_T", "face_T", False),
-    "pressure": ("cell_p", "face_p", False),
+    "velocity": ("cell_u", "face_u", 3),
+    "temperature": ("cell_T", "face_T", 1),
+    "pressure": ("cell_p", "face_p", 1),
 }
 
 _WEIGHT_TOL = 1e-12
@@ -108,8 +109,8 @@ def resolve_weights(mesh, config: CoarseningConfig) -> np.ndarray:
 def coarsen_cell(port_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Convex combination of port values along the face axis.
 
-    port_values has the face axis last ((..., 6)); vector fields pass
-    one component at a time or move the component axis past the faces.
+    port_values has the face axis last ((..., 6)), so stacked channels
+    go in channel-first as (K, n_cells, 6) against (n_cells, 6) weights.
     Computed anchored to the first port, base + sum(w * (p - base)), so
     a constant set of ports comes back bit-identical regardless of how
     the weights round.
@@ -124,19 +125,27 @@ def coarsen_sweep(mesh, state, config: CoarseningConfig, step_index: int) -> boo
     step_index is the 1-based count of completed-or-running full steps;
     the sweep fires when it is a multiple of config.period and returns
     True, otherwise the state is untouched and the return is False.
+    All targeted channels (three per vector field, one per scalar) are
+    stacked channel-first and coarsened in one contraction.
     """
     if step_index % config.period != 0:
         return False
     if not state.ready_for_cell_sweep:
         raise ValueError("coarsening runs on fresh ports, before the cell sweep")
     w = resolve_weights(mesh, config)
-    for name in config.targets:
-        cell_attr, face_attr, is_vector = _TARGET_FIELDS[name]
-        ports = getattr(state, face_attr)
-        if is_vector:
-            new = np.stack(
-                [coarsen_cell(ports[:, :, k], w) for k in range(3)], axis=1)
-        else:
-            new = coarsen_cell(ports, w)
-        setattr(state, cell_attr, new)
+    fields = [_TARGET_FIELDS[name] for name in config.targets]
+    # one C-contiguous (K, n_cells, 6) array: einsum's summation order,
+    # and so the last bit of the result, depends on the memory layout
+    ports = np.empty((sum(n for *_, n in fields), mesh.n_cells, 6))
+    k = 0
+    for _, face_attr, n in fields:
+        ports[k:k + n] = np.moveaxis(
+            getattr(state, face_attr).reshape(mesh.n_cells, 6, n), -1, 0)
+        k += n
+    new = coarsen_cell(ports, w)
+    k = 0
+    for cell_attr, _, n in fields:
+        cells = new[k] if n == 1 else new[k:k + n].T
+        setattr(state, cell_attr, cells.copy())
+        k += n
     return True

@@ -15,9 +15,12 @@ hook).  Fluxes are then evaluated against the final port values and
 cached on the state for the following cell-balance sweep; the two sides
 of every interior face are stored as exact negatives.
 
-All operations are vectorized over (cell, face) slots; within a sweep
-no update reads another update's output, so any evaluation order gives
-identical results.
+The transported channels T, ux, uy, uz are stacked channel-first and
+go through one sweep together.  The helpers below take an optional
+leading channel axis, so the pressure solve calls the same helpers with
+its single scalar field.  All operations are vectorized over (channel,
+cell, face) slots; within a sweep no update reads another update's
+output, so any evaluation order gives identical results.
 """
 
 from __future__ import annotations
@@ -26,37 +29,35 @@ import numpy as np
 
 from .errors import SingularInterfaceError
 from .hexmesh import FACE_AXIS, FACE_PARITY, TANGENT_AXES, Mesh
-from .state import FieldState
+from .state import FieldState, split_channels, stack_channels
 
 _IDX6 = np.arange(6)
 
-# velocity components are transported as three independent scalars
-CHANNELS = ("T", "ux", "uy", "uz")
-
 
 def face_nodal_components(mesh: Mesh, cell_values, face_values) -> np.ndarray:
-    """Node-side component triples at every face, shape (nc, 6, 3).
+    """Node-side component triples at every face, shape (..., nc, 6, 3).
 
-    ``cell_values`` are the newest nodal values; ``face_values`` the
-    ports of the previous sweep, which supply the in-plane differences.
-    The normal slot is 2 * (+1 on minus faces / -1 on plus faces) * the
-    nodal value.
+    ``cell_values`` (shape (..., nc)) are the newest nodal values;
+    ``face_values`` (shape (..., nc, 6)) the ports of the previous sweep,
+    which supply the in-plane differences.  A leading channel axis, if
+    any, is carried through.  The normal slot is 2 * (+1 on minus faces /
+    -1 on plus faces) * the nodal value.
     """
     cell_values = np.asarray(cell_values, dtype=np.float64)
     face_values = np.asarray(face_values, dtype=np.float64)
-    diffs = face_values[:, 1::2] - face_values[:, 0::2]  # (nc, 3)
-    z = np.repeat(diffs[:, None, :], 6, axis=1)
-    z[:, _IDX6, FACE_AXIS] = 2.0 * FACE_PARITY * cell_values[:, None]
+    diffs = face_values[..., 1::2] - face_values[..., 0::2]  # (..., nc, 3)
+    z = np.repeat(diffs[..., None, :], 6, axis=-2)
+    z[..., _IDX6, FACE_AXIS] = 2.0 * FACE_PARITY * cell_values[..., None]
     return z
 
 
 def contract_flux_coeffs(mesh: Mesh, z) -> np.ndarray:
-    """s . z per (cell, face): flux of the node-side reconstruction."""
-    return np.einsum("cfm,cfm->cf", mesh.s_coeffs, z)
+    """s . z per (..., cell, face): flux of the node-side reconstruction."""
+    return np.einsum("cfm,...cfm->...cf", mesh.s_coeffs, z)
 
 
 def update_interface(mesh: Mesh, cell_values, sz) -> np.ndarray:
-    """New shared port value for every interior face pair, shape (nif,).
+    """New shared port value for every interior face pair, shape (..., nif).
 
     The value makes the two one-sided reconstructed fluxes exact
     negatives of each other.  It is evaluated as a correction to one
@@ -74,11 +75,11 @@ def update_interface(mesh: Mesh, cell_values, sz) -> np.ndarray:
         raise SingularInterfaceError(
             "normal flux coefficients cancel across an interior face"
         )
-    va = cell_values[mesh.icell_a]
-    vb = cell_values[mesh.icell_b]
+    va = cell_values[..., mesh.icell_a]
+    vb = cell_values[..., mesh.icell_b]
     # in-plane parts of the one-sided fluxes (zero for 1D-consistent data)
-    ta = sz[mesh.icell_a, mesh.iface_a] - ga * va
-    tb = sz[mesh.icell_b, mesh.iface_b] - gb * vb
+    ta = sz[..., mesh.icell_a, mesh.iface_a] - ga * va
+    tb = sz[..., mesh.icell_b, mesh.iface_b] - gb * vb
     return va + (gb * (vb - va) + ta + tb) / den
 
 
@@ -92,8 +93,8 @@ def one_sided_face_value(mesh: Mesh, cell_values, sz, cells, faces) -> np.ndarra
     g = mesh.pair_coeff[cells, faces]
     if np.any(np.abs(g) <= 0.0):
         raise SingularInterfaceError("vanishing normal flux coefficient at boundary")
-    v = np.asarray(cell_values, dtype=np.float64)[cells]
-    return v + (sz[cells, faces] - g * v) / g
+    v = np.asarray(cell_values, dtype=np.float64)[..., cells]
+    return v + (sz[..., cells, faces] - g * v) / g
 
 
 def repair_tangentials(mesh: Mesh, z) -> np.ndarray:
@@ -137,67 +138,45 @@ def face_gradient(mesh: Mesh, cell_values, new_face_values, old_face_values) -> 
 
 
 def face_flux(mesh: Mesh, sz, new_face_values) -> np.ndarray:
-    """Gradient flux through every face, outward positive, shape (nc, 6).
+    """Gradient flux through every face, outward positive, shape (..., nc, 6).
 
     Interior pairs are antisymmetric by construction; the neighbor's
     slot is assigned the exact negative so the cancellation survives
     floating point.
     """
     flux = sz - mesh.pair_coeff * np.asarray(new_face_values, dtype=np.float64)
-    flux[mesh.icell_b, mesh.iface_b] = -flux[mesh.icell_a, mesh.iface_a]
+    flux[..., mesh.icell_b, mesh.iface_b] = -flux[..., mesh.icell_a, mesh.iface_a]
     return flux
 
 
 def connection_sweep(mesh: Mesh, state: FieldState, bc_hook=None) -> None:
     """Advance all ports of T and u by one full step, in place.
 
-    Interior faces get the flux-matching shared value, boundary faces
-    the zero-normal-gradient default; ``bc_hook(mesh, state)``, if
-    given, then overrides tagged boundary ports.  Finally the per-face
-    gradient fluxes are evaluated against the settled port values and
-    cached in ``state.flux`` under the channel names "T", "ux", "uy",
-    "uz".
+    The four transported channels T, ux, uy, uz go through the exchange
+    together, stacked channel-first.  Interior faces get the
+    flux-matching shared value, boundary faces the zero-normal-gradient
+    default; ``bc_hook(mesh, state)``, if given, then overrides tagged
+    boundary ports.  Finally the per-face gradient fluxes are evaluated
+    against the settled port values and cached in ``state.flux``, shape
+    (4, nc, 6) in the channel order of ``stack_channels``.
     """
     if not state.ready_for_face_sweep:
         raise ValueError("connection sweep needs nodes half a step ahead of ports")
 
-    channels = [
-        ("T", state.cell_T, state.face_T),
-        ("ux", state.cell_u[:, 0], state.face_u[:, :, 0]),
-        ("uy", state.cell_u[:, 1], state.face_u[:, :, 1]),
-        ("uz", state.cell_u[:, 2], state.face_u[:, :, 2]),
-    ]
-    sz_cache = {}
-    new_faces = {}
-    for name, cell_vals, old_faces in channels:
-        z = face_nodal_components(mesh, cell_vals, old_faces)
-        sz = contract_flux_coeffs(mesh, z)
-        new = old_faces.copy()
-        if mesh.n_interior_faces:
-            shared = update_interface(mesh, cell_vals, sz)
-            new[mesh.icell_a, mesh.iface_a] = shared
-            new[mesh.icell_b, mesh.iface_b] = shared
-        if mesh.n_boundary_faces:
-            new[mesh.bcell, mesh.bface] = one_sided_face_value(
-                mesh, cell_vals, sz, mesh.bcell, mesh.bface
-            )
-        sz_cache[name] = sz
-        new_faces[name] = new
-
-    state.face_T = new_faces["T"]
-    state.face_u = np.stack(
-        [new_faces["ux"], new_faces["uy"], new_faces["uz"]], axis=-1
-    )
+    cells = stack_channels(state.cell_T, state.cell_u)
+    ports = stack_channels(state.face_T, state.face_u)
+    sz = contract_flux_coeffs(mesh, face_nodal_components(mesh, cells, ports))
+    if mesh.n_interior_faces:
+        shared = update_interface(mesh, cells, sz)
+        ports[:, mesh.icell_a, mesh.iface_a] = shared
+        ports[:, mesh.icell_b, mesh.iface_b] = shared
+    if mesh.n_boundary_faces:
+        ports[:, mesh.bcell, mesh.bface] = one_sided_face_value(
+            mesh, cells, sz, mesh.bcell, mesh.bface
+        )
+    state.face_T, state.face_u = split_channels(ports)
     if bc_hook is not None:
         bc_hook(mesh, state)
-
-    state.flux = {}
-    parts = {
-        "T": state.face_T,
-        "ux": state.face_u[:, :, 0],
-        "uy": state.face_u[:, :, 1],
-        "uz": state.face_u[:, :, 2],
-    }
-    for name in CHANNELS:
-        state.flux[name] = face_flux(mesh, sz_cache[name], parts[name])
+        ports = stack_channels(state.face_T, state.face_u)
+    state.flux = face_flux(mesh, sz, ports)
     state.advance_ports()

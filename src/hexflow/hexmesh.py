@@ -283,18 +283,14 @@ class Mesh:
 
     verts: np.ndarray          # (nv, 3)
     cells: np.ndarray          # (nc, 8) vertex ids
-    edge_vecs: np.ndarray      # (nc, 12, 3)
-    node_vecs: np.ndarray      # (nc, 3, 3)
     face_vecs: np.ndarray      # (nc, 6, 3) outward
-    flipped: np.ndarray        # (nc, 6) bool
     volumes: np.ndarray        # (nc,)
     gamma: np.ndarray          # (nc, 3, 3)
     s_coeffs: np.ndarray       # (nc, 6, 3)
     centroids: np.ndarray      # (nc, 3)
     face_centroids: np.ndarray  # (nc, 6, 3)
     face_areas: np.ndarray     # (nc, 6)
-    s_normal: np.ndarray       # (nc, 6): s_coeffs along the face axis
-    pair_coeff: np.ndarray     # (nc, 6): 2 * parity * s_normal
+    pair_coeff: np.ndarray     # (nc, 6): 2 * parity * s_coeffs along the face axis
     cell_size: np.ndarray      # (nc,): min axis thickness, for step diagnostics
 
     icell_a: np.ndarray        # (nif,)
@@ -338,9 +334,9 @@ class Mesh:
 
     def freeze(self):
         for name in (
-            "verts", "cells", "edge_vecs", "node_vecs", "face_vecs", "flipped",
+            "verts", "cells", "face_vecs",
             "volumes", "gamma", "s_coeffs", "centroids", "face_centroids",
-            "face_areas", "s_normal", "pair_coeff", "cell_size",
+            "face_areas", "pair_coeff", "cell_size",
             "icell_a", "iface_a", "icell_b", "iface_b",
             "tang_axis_b", "tang_sign_b", "bcell", "bface", "btag",
             "neighbor_cell", "neighbor_face",
@@ -410,7 +406,7 @@ def build_mesh(vertices, hexes, boundary) -> Mesh:
             raise DegenerateCellError(f"cell {c} repeats a vertex id")
     edge_vecs = compute_edge_vectors(v8)
     node_vecs = compute_node_vectors(edge_vecs)
-    face_vecs, flipped = compute_face_vectors(edge_vecs)
+    face_vecs, _ = compute_face_vectors(edge_vecs)
     volumes = np.atleast_1d(compute_volume(v8))
     gamma = compute_gamma(node_vecs)
     centroids = v8.mean(axis=1)
@@ -505,9 +501,7 @@ def build_mesh(vertices, hexes, boundary) -> Mesh:
 
     face_areas = np.linalg.norm(face_vecs, axis=2)
     s_coeffs = compute_s_coeffs(face_vecs, gamma)
-    idx = np.arange(6)
-    s_normal = s_coeffs[:, idx, FACE_AXIS]
-    pair_coeff = 2.0 * FACE_PARITY[None, :] * s_normal
+    pair_coeff = 2.0 * FACE_PARITY[None, :] * s_coeffs[:, np.arange(6), FACE_AXIS]
     # per-axis thickness = volume / largest opposing face area
     thick = volumes[:, None] / np.maximum(
         np.maximum(face_areas[:, 0::2], face_areas[:, 1::2]), 1e-300
@@ -524,17 +518,13 @@ def build_mesh(vertices, hexes, boundary) -> Mesh:
     mesh = Mesh(
         verts=verts,
         cells=cells,
-        edge_vecs=edge_vecs,
-        node_vecs=node_vecs,
         face_vecs=face_vecs,
-        flipped=flipped,
         volumes=volumes,
         gamma=gamma,
         s_coeffs=s_coeffs,
         centroids=centroids,
         face_centroids=face_centroids,
         face_areas=face_areas,
-        s_normal=s_normal,
         pair_coeff=pair_coeff,
         cell_size=cell_size,
         icell_a=icell_a,

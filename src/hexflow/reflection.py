@@ -3,9 +3,11 @@
 Each cell integrates its surface exchange over the half-step-fresh
 ports: diffusive gradient fluxes (cached by the face sweep), advective
 transport through every face, buoyancy from the temperature excess,
-the nodal pressure gradient, and volumetric heating.  The update is
-explicit and local; all cells advance from the same read-only port
-snapshot, so sweep order cannot matter.
+the nodal pressure gradient, and volumetric heating.  T and the three
+velocity components share one update, stacked channel-first as
+(4, nc), and differ only in their diffusion coefficient and source.
+The update is explicit and local; all cells advance from the same
+read-only port snapshot, so sweep order cannot matter.
 
 Sign note: the thermal expansion coefficient is the relative density
 change per kelvin, d(rho)/dT / rho, which is NEGATIVE for ordinary
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hexmesh import Mesh
-from .state import FieldState
+from .state import FieldState, split_channels, stack_channels
 
 
 @dataclass(frozen=True)
@@ -83,49 +85,36 @@ def advective_rates(mesh: Mesh, state: FieldState) -> np.ndarray:
     return np.einsum("cfi,cfi->cf", state.face_u, mesh.face_vecs)
 
 
-def update_temperature_node(mesh: Mesh, state: FieldState, props: MaterialProps,
-                            q, tau: float) -> np.ndarray:
-    """New nodal temperatures; reads only port-time data, returns a copy."""
-    out_flow = advective_rates(mesh, state)
-    net = props.alpha * state.flux["T"] - state.face_T * out_flow
-    return state.cell_T + (tau / mesh.volumes) * net.sum(axis=1) + tau * q
+def update_nodes(mesh: Mesh, state: FieldState, props: MaterialProps,
+                 source, tau: float) -> np.ndarray:
+    """New nodal T, ux, uy, uz stacked as (4, nc); reads only port-time
+    data and the old nodal values.
 
-
-def update_velocity_node(mesh: Mesh, state: FieldState, props: MaterialProps,
-                         grad_p: np.ndarray, tau: float) -> np.ndarray:
-    """New nodal velocities from viscous, advective, buoyant and
-    pressure-gradient contributions; returns a copy."""
+    Every channel takes cell + tau * source + (tau / V) * (sum over faces
+    of its diffusive flux minus its advective transport); the diffusion
+    coefficients are (alpha, nu, nu, nu).  ``source`` is (4, nc) or
+    broadcasts to it.
+    """
     out_flow = advective_rates(mesh, state)
-    buoy = props.beta * (state.cell_T - props.T_inf)
-    nu = props.nu
-    new_u = np.empty_like(state.cell_u)
-    for k, name in enumerate(("ux", "uy", "uz")):
-        net = nu * state.flux[name] - state.face_u[:, :, k] * out_flow
-        new_u[:, k] = (
-            state.cell_u[:, k]
-            + tau * (buoy * props.g[k] - grad_p[:, k] / props.rho_inf)
-            + (tau / mesh.volumes) * net.sum(axis=1)
-        )
-    return new_u
+    diffusivity = np.array([props.alpha, props.nu, props.nu, props.nu])
+    ports = stack_channels(state.face_T, state.face_u)
+    net = diffusivity[:, None, None] * state.flux - ports * out_flow
+    cells = stack_channels(state.cell_T, state.cell_u)
+    return cells + tau * source + (tau / mesh.volumes) * net.sum(axis=-1)
 
 
 def reflection_sweep(mesh: Mesh, state: FieldState, props: MaterialProps,
-                     tau: float, source=None, coarsen_hook=None) -> None:
+                     tau: float, source=None) -> None:
     """Advance all nodal T and u by one full step, in place.
 
     Requires a completed face sweep (ports lead, fluxes cached).  The
-    optional ``coarsen_hook(mesh, state)`` runs first, before any nodal
-    value is read, which is the place the periodic port-averaging
-    stabilization plugs in.
+    sources are the heat source for T and, for u, buoyancy from the
+    temperature excess minus the nodal pressure gradient over rho_inf.
     """
     if not state.ready_for_cell_sweep:
         raise ValueError("cell sweep needs ports half a step ahead of nodes")
-    missing = [k for k in ("T", "ux", "uy", "uz") if k not in state.flux]
-    if missing:
-        raise ValueError(f"port fluxes not cached (missing {missing}); "
-                         "run the face sweep first")
-    if coarsen_hook is not None:
-        coarsen_hook(mesh, state)
+    if state.flux is None:
+        raise ValueError("port fluxes not cached; run the face sweep first")
 
     if source is None:
         q = 0.0
@@ -135,10 +124,13 @@ def reflection_sweep(mesh: Mesh, state: FieldState, props: MaterialProps,
         q = np.asarray(source, dtype=np.float64)
 
     grad_p = nodal_gradient(mesh, state.face_p)
-    new_T = update_temperature_node(mesh, state, props, q, tau)
-    new_u = update_velocity_node(mesh, state, props, grad_p, tau)
-    state.cell_T = new_T
-    state.cell_u = new_u
+    buoy = props.beta * (state.cell_T - props.T_inf)
+    sources = np.empty((4, state.n_cells))
+    sources[0] = q
+    sources[1:] = (buoy * np.array(props.g)[:, None]
+                   - grad_p.T / props.rho_inf)
+    state.cell_T, state.cell_u = split_channels(
+        update_nodes(mesh, state, props, sources, tau))
     state.advance_nodes()
 
 

@@ -15,6 +15,7 @@ concentric annulus (the one mesh here that exercises genuinely
 non-orthogonal cells).
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -264,6 +265,7 @@ def masked_box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0),
 
     keep(i, j, k) -> bool selects the cells that exist; faces exposed by
     carved-out neighbours are tagged hole_tag, outer faces get BOX_TAGS.
+    Vertices, cells and kept cells are numbered with i slowest, k fastest.
     """
     if min(nx, ny, nz) < 1:
         raise ValueError("box needs at least one cell per direction")
@@ -271,39 +273,32 @@ def masked_box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0),
     if not (d > 0).all():
         raise ValueError("box lengths must be positive")
 
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
+    verts = origin + d * np.indices((nx + 1, ny + 1, nz + 1)).reshape(3, -1).T
 
-    verts = np.empty(((nx + 1) * (ny + 1) * (nz + 1), 3))
-    for i in range(nx + 1):
-        for j in range(ny + 1):
-            for k in range(nz + 1):
-                verts[vid(i, j, k)] = origin + d * (i, j, k)
-
-    index = {}
-    cells = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                if keep is not None and not keep(i, j, k):
-                    continue
-                index[(i, j, k)] = len(cells)
-                cells.append([vid(i + a, j + b, k + c)
-                              for c in (0, 1) for b in (0, 1) for a in (0, 1)])
-
-    if not cells:
+    shape = (nx, ny, nz)
+    kept = np.ones(shape, dtype=bool)
+    if keep is not None:
+        kept.flat = [bool(keep(i, j, k)) for i, j, k in itertools.product(
+            range(nx), range(ny), range(nz))]
+    if not kept.any():
         raise ValueError("mask removed every cell")
+    ijk = np.argwhere(kept)  # (n, 3), i slowest
 
-    offsets = ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1))
-    limits = (nx, ny, nz)
-    boundary = []
-    for (i, j, k), c in index.items():
-        for f, (oi, oj, ok) in enumerate(offsets):
-            ni, nj, nk = i + oi, j + oj, k + ok
-            if not (0 <= ni < limits[0] and 0 <= nj < limits[1] and 0 <= nk < limits[2]):
-                boundary.append((c, f, BOX_TAGS[f]))
-            elif (ni, nj, nk) not in index:
-                boundary.append((c, f, hole_tag))
+    # vertex id of (i, j, k) is (i * (ny + 1) + j) * (nz + 1) + k; the
+    # corners run a fastest, then b, then c
+    corner = np.array([[a, b, c] for c in (0, 1) for b in (0, 1) for a in (0, 1)])
+    stride = np.array([(ny + 1) * (nz + 1), nz + 1, 1])
+    cells = (ijk[:, None, :] + corner) @ stride
+
+    # neighbour status: -1 outside the box, 0 carved out, 1 kept
+    status = np.full((nx + 2, ny + 2, nz + 2), -1, dtype=np.int8)
+    status[1:-1, 1:-1, 1:-1] = kept
+    offsets = np.array([(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0),
+                        (0, 0, -1), (0, 0, 1)])
+    nb = status[tuple(np.moveaxis(ijk[:, None, :] + 1 + offsets, -1, 0))]
+    bc, bf = np.nonzero(nb < 1)
+    boundary = [(c, f, BOX_TAGS[f] if nb[c, f] < 0 else hole_tag)
+                for c, f in zip(bc.tolist(), bf.tolist())]
     return build_mesh(verts, cells, boundary)
 
 

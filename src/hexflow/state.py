@@ -11,6 +11,11 @@ Port storage is redundant per cell: arrays are indexed (cell, local
 face), and an interior face's value appears in both adjacent cells'
 slots.  The face-exchange sweep writes the identical number to both, so
 the redundancy is never a source of disagreement.
+
+The sweeps that move T and u treat them as four channels of one array,
+stacked channel-first in the order T, ux, uy, uz: nodal values as
+(4, nc), ports as (4, nc, 6).  ``stack_channels`` and ``split_channels``
+convert between that layout and the state's public arrays.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ class FieldState:
     nodes lead before a face sweep, ports lead before a cell sweep.
 
     ``flux`` is a transient cache written by the face-exchange sweep
-    (gradient flux through each face, per channel) and consumed by the
-    cell-balance sweep of the same cycle.
+    (gradient flux through each face of T, ux, uy, uz, stacked as
+    (4, nc, 6)) and consumed by the cell-balance sweep of the same
+    cycle; it is None before the first face sweep.
     """
 
     cell_T: np.ndarray          # (nc,)
@@ -44,7 +50,7 @@ class FieldState:
     face_p: np.ndarray          # (nc, 6)
     port_step: int = 0
     node_step: int = 1
-    flux: dict = field(default_factory=dict, repr=False)
+    flux: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         nc = self.cell_T.shape[0]
@@ -108,7 +114,8 @@ class FieldState:
             port_step=self.port_step,
             node_step=self.node_step,
         )
-        out.flux = {k: v.copy() for k, v in self.flux.items()}
+        if self.flux is not None:
+            out.flux = self.flux.copy()
         return out
 
     def assert_finite(self):
@@ -121,6 +128,22 @@ class FieldState:
                     f"{bad} non-finite entries in {name} at "
                     f"node step {self.node_step}"
                 )
+
+
+def stack_channels(scalar, vector) -> np.ndarray:
+    """One C-contiguous channel-first array from a scalar field and a
+    vector field with a trailing component axis: (nc, ...) and
+    (nc, ..., 3) give (4, nc, ...)."""
+    out = np.empty((4,) + scalar.shape)
+    out[0] = scalar
+    out[1:] = np.moveaxis(vector, -1, 0)
+    return out
+
+
+def split_channels(stacked):
+    """Inverse of ``stack_channels``: contiguous copies of the scalar
+    field and of the vector field with its components last."""
+    return stacked[0].copy(), np.moveaxis(stacked[1:], 0, -1).copy()
 
 
 def node_boundary_map(channel):

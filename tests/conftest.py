@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 
+from hexflow import sim
 from hexflow.hexmesh import Mesh, build_mesh
 
 
@@ -19,9 +20,6 @@ def pytest_terminal_summary(terminalreporter):
 UNIT_CUBE = np.array(
     [[i & 1, (i >> 1) & 1, (i >> 2) & 1] for i in range(8)], dtype=np.float64
 )
-
-BOX_TAGS = ("xmin", "xmax", "ymin", "ymax", "zmin", "zmax")
-
 
 def random_hex(rng, jitter=0.12):
     """A random valid hexahedron: affine image of the cube plus jitter.
@@ -51,51 +49,13 @@ def box_mesh(
     displaced copy; interior and boundary connectivity are unchanged, so
     the result is a conforming non-orthogonal mesh.
     """
-    xs = origin[0] + lengths[0] * np.arange(nx + 1) / nx
-    ys = origin[1] + lengths[1] * np.arange(ny + 1) / ny
-    zs = origin[2] + lengths[2] * np.arange(nz + 1) / nz
-    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-    verts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    if warp is not None:
-        verts = np.asarray(warp(verts), dtype=np.float64)
-
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    hexes = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                hexes.append(
-                    [
-                        vid(i + a, j + b, k + c)
-                        for c in (0, 1)
-                        for b in (0, 1)
-                        for a in (0, 1)
-                    ]
-                )
-
-    def cid(i, j, k):
-        return (i * ny + j) * nz + k
-
-    boundary = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                c = cid(i, j, k)
-                if i == 0:
-                    boundary.append((c, 0, "xmin"))
-                if i == nx - 1:
-                    boundary.append((c, 1, "xmax"))
-                if j == 0:
-                    boundary.append((c, 2, "ymin"))
-                if j == ny - 1:
-                    boundary.append((c, 3, "ymax"))
-                if k == 0:
-                    boundary.append((c, 4, "zmin"))
-                if k == nz - 1:
-                    boundary.append((c, 5, "zmax"))
-    return build_mesh(verts, hexes, boundary)
+    mesh = sim.box_mesh(nx, ny, nz, lengths, origin)
+    if warp is None:
+        return mesh
+    boundary = [(c, f, mesh.tags[t])
+                for c, f, t in zip(mesh.bcell, mesh.bface, mesh.btag)]
+    verts = np.asarray(warp(mesh.verts), dtype=np.float64)
+    return build_mesh(verts, mesh.cells, boundary)
 
 
 def jitter_warp(seed, scale):

@@ -98,8 +98,8 @@ def test_constant_state_is_bitwise_fixed_point():
     connection_sweep(mesh, s)
     assert np.array_equal(s.face_T, before_T)
     assert np.array_equal(s.face_u, before_u)
-    for name in ("T", "ux", "uy", "uz"):
-        assert (s.flux[name] == 0.0).all()
+    assert s.flux.shape == (4, mesh.n_cells, 6)
+    assert (s.flux == 0.0).all()
 
 
 def test_mirrorsymmetric_data_gives_zero_shared_flux():
@@ -112,8 +112,8 @@ def test_mirrorsymmetric_data_gives_zero_shared_flux():
          [0.5, 0.2, 0.4, 0.6, 0.3, 0.9]]
     )
     connection_sweep(mesh, s)
-    assert s.flux["T"][0, 1] == 0.0
-    assert s.flux["T"][1, 0] == 0.0
+    assert s.flux[0, 0, 1] == 0.0
+    assert s.flux[0, 1, 0] == 0.0
     # the shared value equals the nodal value by symmetry
     assert s.face_T[0, 1] == 0.8
 
@@ -124,7 +124,7 @@ def test_zero_gradient_default_on_isolated_cube():
     connection_sweep(mesh, s)
     # one-sided rule puts the nodal value on every face of a cube cell
     assert np.allclose(s.face_T, 2.0 * 0.5 + 1.0, rtol=0, atol=1e-15)
-    assert np.allclose(s.flux["T"], 0.0, rtol=0, atol=1e-14)
+    assert np.allclose(s.flux[0], 0.0, rtol=0, atol=1e-14)
 
 
 def test_face_flux_linear_field_unit_cube():
@@ -145,10 +145,10 @@ def test_flux_antisymmetry_is_exact():
     s.cell_u = rng.standard_normal((mesh.n_cells, 3))
     s.face_u = rng.standard_normal((mesh.n_cells, 6, 3))
     connection_sweep(mesh, s)
-    for name in ("T", "ux", "uy", "uz"):
-        fa = s.flux[name][mesh.icell_a, mesh.iface_a]
-        fb = s.flux[name][mesh.icell_b, mesh.iface_b]
-        assert np.array_equal(fa, -fb)
+    assert s.flux.shape == (4, mesh.n_cells, 6)
+    fa = s.flux[:, mesh.icell_a, mesh.iface_a]
+    fb = s.flux[:, mesh.icell_b, mesh.iface_b]
+    assert np.array_equal(fa, -fb)
 
 
 def test_sweep_matches_per_face_loop_in_any_order():
@@ -246,7 +246,7 @@ def test_bc_hook_overrides_enter_flux():
     z = face_nodal_components(mesh, old_cell, old_face)
     sz = contract_flux_coeffs(mesh, z)
     want = sz[0, 1] - mesh.pair_coeff[0, 1] * 7.0
-    assert s.flux["T"][0, 1] == want
+    assert s.flux[0, 0, 1] == want
 
 
 def test_sweep_requires_node_lead():

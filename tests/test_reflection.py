@@ -16,7 +16,7 @@ from hexflow.reflection import (
     cfl_number,
     nodal_gradient,
     reflection_sweep,
-    update_temperature_node,
+    update_nodes,
 )
 from hexflow.state import FieldState
 
@@ -75,9 +75,9 @@ def test_uniform_advection_leaves_temperature_nearly_unchanged():
     mesh = box_mesh(2, 2, 2)
     props = MaterialProps(alpha=0.0)
     s = FieldState.uniform(mesh.n_cells, T=5.0, u=(1.0, 2.0, -0.5))
-    s.flux = {k: np.zeros((mesh.n_cells, 6)) for k in ("T", "ux", "uy", "uz")}
+    s.flux = np.zeros((4, mesh.n_cells, 6))
     s.port_step, s.node_step = 2, 1
-    newT = update_temperature_node(mesh, s, props, 0.0, tau=0.1)
+    newT = update_nodes(mesh, s, props, 0.0, tau=0.1)[0]
     assert np.allclose(newT, 5.0, rtol=0, atol=1e-13)
 
 
@@ -161,7 +161,7 @@ def test_three_cell_chain_matches_assembled_oracle():
     T0 = s.cell_T.copy()
     connection_sweep(mesh, s, bc_hook=wall_hook)
     # assemble the update by hand from the cached fluxes
-    want = T0 + (tau / mesh.volumes) * (props.alpha * s.flux["T"]).sum(axis=1)
+    want = T0 + (tau / mesh.volumes) * (props.alpha * s.flux[0]).sum(axis=1)
     reflection_sweep(mesh, s, props, tau)
     assert np.array_equal(s.cell_T, want)
 

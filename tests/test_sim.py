@@ -313,6 +313,64 @@ class TestGenerators:
         d = np.linalg.norm(targets - (0.375, 0.375, 0.5), axis=1)
         np.testing.assert_allclose(d, 0.125, atol=1e-12)
 
+    @staticmethod
+    def loop_masked_box(nx, ny, nz, lengths, origin, keep, hole_tag="wall"):
+        """Per-vertex, per-cell and per-face loop build of a masked box."""
+        d = np.asarray(lengths, dtype=float) / (nx, ny, nz)
+
+        def vid(i, j, k):
+            return (i * (ny + 1) + j) * (nz + 1) + k
+
+        verts = np.empty(((nx + 1) * (ny + 1) * (nz + 1), 3))
+        for i in range(nx + 1):
+            for j in range(ny + 1):
+                for k in range(nz + 1):
+                    verts[vid(i, j, k)] = origin + d * (i, j, k)
+        index, cells = {}, []
+        for i in range(nx):
+            for j in range(ny):
+                for k in range(nz):
+                    if keep(i, j, k):
+                        index[(i, j, k)] = len(cells)
+                        cells.append([vid(i + a, j + b, k + c) for c in (0, 1)
+                                      for b in (0, 1) for a in (0, 1)])
+        offsets = ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0),
+                   (0, 0, -1), (0, 0, 1))
+        boundary = []
+        for (i, j, k), c in index.items():
+            for f, (oi, oj, ok) in enumerate(offsets):
+                n = (i + oi, j + oj, k + ok)
+                if not all(0 <= n[a] < (nx, ny, nz)[a] for a in range(3)):
+                    boundary.append((c, f, BOX_TAGS[f]))
+                elif n not in index:
+                    boundary.append((c, f, hole_tag))
+        return verts, cells, boundary
+
+    @pytest.mark.parametrize("case", ["box", "step", "cylinder", "holes-3d"])
+    def test_masked_box_matches_loop_build(self, case):
+        n, lengths, origin = (5, 1, 1), (1.0, 0.2, 0.2), (0.0, 0.0, 0.0)
+        keep = lambda i, j, k: True  # noqa: E731
+        if case == "step":
+            n, lengths = (12, 4, 1), (12.0, 4.0, 1.0)
+            keep = lambda i, j, k: not (i < 2 and j < 2)  # noqa: E731
+        elif case == "cylinder":
+            n, lengths = (48, 16, 1), (48.0, 16.0, 1.0)
+            keep = lambda i, j, k: (  # noqa: E731
+                (i + 0.5 - 12.0) ** 2 + (j + 0.5 - 8.0) ** 2 >= 1.6 ** 2)
+        elif case == "holes-3d":
+            n, lengths, origin = (4, 3, 5), (0.3, 1.7, 2.9), (-0.1, 0.2, 5.3)
+            keep = lambda i, j, k: (i + 2 * j + k) % 4 != 1  # noqa: E731
+        verts, cells, boundary = self.loop_masked_box(
+            *n, lengths, origin, keep, hole_tag="hole")
+        mesh = masked_box_mesh(*n, lengths=lengths, origin=origin, keep=keep,
+                               hole_tag="hole")
+        assert np.array_equal(mesh.verts, verts)
+        assert np.array_equal(mesh.cells, cells)
+        got = [(int(c), int(f), mesh.tags[t])
+               for c, f, t in zip(mesh.bcell, mesh.bface, mesh.btag)]
+        assert sorted(got) == sorted(boundary)
+        assert mesh.tags == tuple(dict.fromkeys(t for *_, t in boundary))
+
     def test_annulus_counts_and_volume(self):
         mesh = annulus_mesh(4, 12, 1.0, 2.0, thickness=0.3)
         assert mesh.n_cells == 48

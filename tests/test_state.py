@@ -56,12 +56,13 @@ def test_assert_finite():
 
 def test_copy_is_deep():
     s = FieldState.uniform(2, T=1.0)
-    s.flux["T"] = np.ones((2, 6))
+    assert s.copy().flux is None
+    s.flux = np.ones((4, 2, 6))
     c = s.copy()
     c.cell_T[0] = 99.0
-    c.flux["T"][0, 0] = 99.0
+    c.flux[0, 0, 0] = 99.0
     assert s.cell_T[0] == 1.0
-    assert s.flux["T"][0, 0] == 1.0
+    assert s.flux[0, 0, 0] == 1.0
 
 
 def test_node_boundary_map_swaps_and_inverts():
