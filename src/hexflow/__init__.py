@@ -36,10 +36,8 @@ from .errors import (
     StabilityError,
 )
 from .hexmesh import (
-    CellGeometry,
     Mesh,
     build_mesh,
-    cell_geometry,
     read_mesh_file,
     write_mesh_file,
 )
@@ -83,7 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryRule",
     "BoundaryTagError",
-    "CellGeometry",
     "CoarseningConfig",
     "ConfigError",
     "DegenerateCellError",
@@ -111,7 +108,6 @@ __all__ = [
     "build_mesh",
     "build_scenario",
     "cell_divergence_integral",
-    "cell_geometry",
     "cfl_number",
     "coarsen_cell",
     "coarsen_sweep",

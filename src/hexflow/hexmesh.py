@@ -36,6 +36,14 @@ That triangulation is watertight and identical to the surface of the
 six-tetrahedron decomposition around the main diagonal v0-v7, so both
 volume definitions agree to rounding.
 
+Meshes.  ``build_mesh`` is the one place cell geometry is derived and
+validated: it rejects non-finite coordinates, repeated vertex ids,
+coincident vertex positions, collapsed faces, inverted or
+ill-conditioned cells and open cell surfaces.  It pairs faces by
+sorting their vertex quadruples, so equal keys fall into runs (one face
+is boundary, two an interior pair, more an error), and reads the
+tangential axis matching of each pair from small lookup tables.
+
 Geometry arrays are immutable after construction; sweeps may read them
 from any number of workers without locking.
 """
@@ -94,19 +102,21 @@ _D2M = np.array([8, 5, 0, 10, 4, 2], dtype=np.intp)
 _EDGE_TAILS = np.array([t for t, _, _ in EDGE_TABLE], dtype=np.intp)
 _EDGE_HEADS = np.array([h for _, h, _ in EDGE_TABLE], dtype=np.intp)
 
-# local vertex pair -> (edge id, +1 if the pair is in table order)
-_EDGE_BY_PAIR: dict[tuple[int, int], tuple[int, int]] = {}
-for _eid, (_t, _h, _g) in enumerate(EDGE_TABLE):
-    _EDGE_BY_PAIR[(_t, _h)] = (_eid, 1)
-    _EDGE_BY_PAIR[(_h, _t)] = (_eid, -1)
+# representative edge of each in-plane axis of each face, in
+# TANGENT_AXES order: the first edge of that group lying on the face
+_FACE_TANGENT_EDGE = np.array(
+    [[4, 8], [5, 9], [0, 8], [1, 10], [0, 4], [2, 6]], dtype=np.intp
+)
 
-# one representative edge of each tangential group lying on each face
-_FACE_GROUP_EDGE: dict[tuple[int, int], int] = {}
-for _f in range(6):
-    _corners = set(FACE_CORNERS[_f])
-    for _eid, (_t, _h, _g) in enumerate(EDGE_TABLE):
-        if _t in _corners and _h in _corners and (_f, _g) not in _FACE_GROUP_EDGE:
-            _FACE_GROUP_EDGE[(_f, _g)] = _eid
+# local vertex pair (p, q) -> group of the edge joining them (-1 when
+# they share no edge) and +1/-1 as p -> q runs with/against that edge
+_EDGE_GROUPS = np.array([g for _, _, g in EDGE_TABLE], dtype=np.intp)
+_PAIR_AXIS = np.full((8, 8), -1, dtype=np.intp)
+_PAIR_AXIS[_EDGE_TAILS, _EDGE_HEADS] = _EDGE_GROUPS
+_PAIR_AXIS[_EDGE_HEADS, _EDGE_TAILS] = _EDGE_GROUPS
+_PAIR_SIGN = np.zeros((8, 8), dtype=np.float64)
+_PAIR_SIGN[_EDGE_TAILS, _EDGE_HEADS] = 1.0
+_PAIR_SIGN[_EDGE_HEADS, _EDGE_TAILS] = -1.0
 
 _COND_LIMIT = 1e8
 
@@ -216,53 +226,6 @@ def compute_s_coeffs(face_vectors: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...fi->...fj", gamma, face_vectors)
 
 
-@dataclass(frozen=True)
-class CellGeometry:
-    """Complete derived geometry for a single hexahedral cell."""
-
-    verts: np.ndarray          # (8, 3)
-    edge_vecs: np.ndarray      # (12, 3)
-    node_vecs: np.ndarray      # (3, 3), row mu = b[mu]
-    face_vecs: np.ndarray      # (6, 3), outward
-    flipped: np.ndarray        # (6,), bool
-    volume: float
-    gamma: np.ndarray          # (3, 3)
-    s_coeffs: np.ndarray       # (6, 3)
-    centroid: np.ndarray       # (3,)
-    face_centroids: np.ndarray  # (6, 3), corner means
-
-
-def cell_geometry(verts) -> CellGeometry:
-    """Validate one cell and derive every geometric quantity."""
-    v = np.asarray(verts, dtype=np.float64)
-    if v.shape != (8, 3):
-        raise MeshError(f"expected 8 vertices of 3 coordinates, got {v.shape}")
-    if not np.isfinite(v).all():
-        raise MeshError("non-finite vertex coordinate")
-    # coincident vertices collapse an edge and poison every later step
-    for i in range(8):
-        if (np.abs(v[i + 1:] - v[i]).sum(axis=1) == 0.0).any():
-            raise DegenerateCellError("coincident vertices in cell")
-    e = compute_edge_vectors(v)
-    nv = compute_node_vectors(e)
-    fv, flipped = compute_face_vectors(e)
-    vol = compute_volume(v)
-    gamma = compute_gamma(nv)
-    s = compute_s_coeffs(fv, gamma)
-    return CellGeometry(
-        verts=v,
-        edge_vecs=e,
-        node_vecs=nv,
-        face_vecs=fv,
-        flipped=flipped,
-        volume=float(vol),
-        gamma=gamma,
-        s_coeffs=s,
-        centroid=v.mean(axis=0),
-        face_centroids=v[FACE_CORNERS].mean(axis=1),
-    )
-
-
 # ---------------------------------------------------------------------------
 # mesh
 
@@ -344,36 +307,6 @@ class Mesh:
             getattr(self, name).flags.writeable = False
 
 
-def _face_key(cell_verts, f):
-    return tuple(sorted(int(cell_verts[c]) for c in FACE_CORNERS[f]))
-
-
-def _tangent_match(cells, ca, fa, cb, fb):
-    """Axis correspondence between the two sides of a shared face.
-
-    For each in-plane axis of side a's face, find which axis of cell b
-    runs along the same mesh edge and whether it points the same way.
-    """
-    axes = np.empty(2, dtype=np.intp)
-    signs = np.empty(2, dtype=np.float64)
-    pos_b = {int(g): i for i, g in enumerate(cells[cb])}
-    for slot in range(2):
-        ax = int(TANGENT_AXES[fa][slot])
-        eid = _FACE_GROUP_EDGE[(fa, ax)]
-        t, h, _ = EDGE_TABLE[eid]
-        gt, gh = int(cells[ca][t]), int(cells[ca][h])
-        key = (pos_b[gt], pos_b[gh])
-        if key not in _EDGE_BY_PAIR:
-            raise MeshError(
-                f"shared face between cells {ca} and {cb} is not an edge-"
-                "conforming quadrilateral"
-            )
-        eid_b, sign = _EDGE_BY_PAIR[key]
-        axes[slot] = EDGE_TABLE[eid_b][2]
-        signs[slot] = sign
-    return axes, signs
-
-
 def build_mesh(vertices, hexes, boundary) -> Mesh:
     """Assemble and validate a mesh.
 
@@ -385,13 +318,18 @@ def build_mesh(vertices, hexes, boundary) -> Mesh:
 
     Every local face must end up either in exactly one interior pair
     (matched by its sorted vertex quadruple) or in exactly one boundary
-    entry; anything else raises MeshError.  Paired faces are checked to
-    carry equal-magnitude, anti-parallel outward vectors.
+    entry; anything else raises MeshError.  Interior pairs are ordered by
+    ``6 * cell + face`` of side a, the lower of the two; boundary faces
+    by their own ``6 * cell + face``; tags by first appearance in
+    ``boundary``.  Paired faces are checked to carry equal-magnitude,
+    anti-parallel outward vectors.
     """
     verts = np.asarray(vertices, dtype=np.float64)
     cells = np.asarray(hexes, dtype=np.intp)
     if verts.ndim != 2 or verts.shape[1] != 3:
         raise MeshError(f"vertex array must be (nv, 3), got {verts.shape}")
+    if not np.isfinite(verts).all():
+        raise MeshError("non-finite vertex coordinate")
     if cells.ndim != 2 or cells.shape[1] != 8:
         raise MeshError(f"cell array must be (nc, 8), got {cells.shape}")
     if cells.size and (cells.min() < 0 or cells.max() >= len(verts)):
@@ -400,10 +338,20 @@ def build_mesh(vertices, hexes, boundary) -> Mesh:
     if nc == 0:
         raise MeshError("mesh has no cells")
 
+    ids = np.sort(cells, axis=1)
+    repeats = (ids[:, 1:] == ids[:, :-1]).any(axis=1)
+    if repeats.any():
+        raise DegenerateCellError(f"cell {repeats.argmax()} repeats a vertex id")
     v8 = verts[cells]  # (nc, 8, 3)
-    for c in range(nc):
-        if len(set(map(int, cells[c]))) != 8:
-            raise DegenerateCellError(f"cell {c} repeats a vertex id")
+    # coincident vertices collapse an edge and poison every later step;
+    # compared pair by pair so no temporary outgrows (nc, 3)
+    coincident = np.zeros(nc, dtype=bool)
+    for i in range(8):
+        for j in range(i + 1, 8):
+            coincident |= (v8[:, i] == v8[:, j]).all(axis=1)
+    if coincident.any():
+        raise DegenerateCellError(
+            f"cell {coincident.argmax()} has coincident vertices")
     edge_vecs = compute_edge_vectors(v8)
     node_vecs = compute_node_vectors(edge_vecs)
     face_vecs, _ = compute_face_vectors(edge_vecs)
@@ -418,75 +366,65 @@ def build_mesh(vertices, hexes, boundary) -> Mesh:
     if np.any(closure > 1e-12 * np.maximum(areas0.max(axis=1), 1e-300)):
         raise MeshError("cell surface does not close (face vectors do not cancel)")
 
-    # ---- face pairing ----
-    by_key: dict[tuple, list[tuple[int, int]]] = {}
-    for c in range(nc):
-        cv = cells[c]
-        for f in range(6):
-            by_key.setdefault(_face_key(cv, f), []).append((c, f))
-
-    declared = {}
-    tag_names: list[str] = []
+    declared = np.full(nc * 6, -1, dtype=np.intp)  # tag index per local face
     tag_index: dict[str, int] = {}
     for entry in boundary:
         c, f, tag = int(entry[0]), int(entry[1]), str(entry[2])
         if not (0 <= c < nc and 0 <= f < 6):
             raise MeshError(f"boundary entry ({c}, {f}) out of range")
-        if (c, f) in declared:
+        if declared[6 * c + f] >= 0:
             raise MeshError(f"boundary face ({c}, {f}) declared twice")
-        declared[(c, f)] = tag
-        if tag not in tag_index:
-            tag_index[tag] = len(tag_names)
-            tag_names.append(tag)
+        declared[6 * c + f] = tag_index.setdefault(tag, len(tag_index))
 
-    ia, fa_, ib, fb_ = [], [], [], []
-    t_axes, t_signs = [], []
-    bc, bf, bt = [], [], []
-    for key, members in by_key.items():
-        if len(members) == 1:
-            c, f = members[0]
-            if (c, f) not in declared:
-                raise MeshError(
-                    f"face {f} of cell {c} is neither shared nor declared "
-                    "as boundary"
-                )
-            bc.append(c)
-            bf.append(f)
-            bt.append(tag_index[declared[(c, f)]])
-        elif len(members) == 2:
-            (ca, fa), (cb, fb) = members
-            if (ca, fa) in declared or (cb, fb) in declared:
-                raise MeshError(
-                    f"shared face between cells {ca} and {cb} also appears "
-                    "in the boundary list"
-                )
-            axes, signs = _tangent_match(cells, ca, fa, cb, fb)
-            ia.append(ca)
-            fa_.append(fa)
-            ib.append(cb)
-            fb_.append(fb)
-            t_axes.append(axes)
-            t_signs.append(signs)
-        else:
-            raise MeshError(
-                f"vertex quadruple {key} is shared by {len(members)} faces"
-            )
-    for (c, f) in declared:
-        if len(by_key[_face_key(cells[c], f)]) != 1:
-            raise MeshError(f"declared boundary face ({c}, {f}) is shared")
+    # ---- face pairing: sort the faces' vertex quadruples into runs of
+    # equal keys; the stable sort lists each run in 6 * cell + face order
+    keys = np.sort(cells[:, FACE_CORNERS], axis=2).reshape(nc * 6, 4)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.flatnonzero(
+        np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    runs = np.diff(np.r_[starts, nc * 6])
+    if (runs > 2).any():
+        k = (runs > 2).argmax()
+        quad = tuple(int(v) for v in keys[starts[k]])
+        raise MeshError(f"vertex quadruple {quad} is shared by {runs[k]} faces")
 
-    icell_a = np.asarray(ia, dtype=np.intp)
-    iface_a = np.asarray(fa_, dtype=np.intp)
-    icell_b = np.asarray(ib, dtype=np.intp)
-    iface_b = np.asarray(fb_, dtype=np.intp)
-    tang_axis_b = (
-        np.asarray(t_axes, dtype=np.intp)
-        if t_axes else np.empty((0, 2), dtype=np.intp)
-    )
-    tang_sign_b = (
-        np.asarray(t_signs, dtype=np.float64)
-        if t_signs else np.empty((0, 2), dtype=np.float64)
-    )
+    single = np.sort(order[starts[runs == 1]])
+    free = single[declared[single] < 0]
+    if len(free):
+        c, f = divmod(int(free[0]), 6)
+        raise MeshError(
+            f"face {f} of cell {c} is neither shared nor declared as boundary"
+        )
+    side_a = order[starts[runs == 2]]
+    side_b = order[starts[runs == 2] + 1]
+    by_a = np.argsort(side_a)
+    side_a, side_b = side_a[by_a], side_b[by_a]
+    icell_a, iface_a = np.divmod(side_a, 6)
+    icell_b, iface_b = np.divmod(side_b, 6)
+    listed = (declared[side_a] >= 0) | (declared[side_b] >= 0)
+    if listed.any():
+        k = listed.argmax()
+        raise MeshError(
+            f"shared face between cells {icell_a[k]} and {icell_b[k]} also "
+            "appears in the boundary list"
+        )
+
+    # tangential matching: locate the ends of each in-plane axis edge of
+    # side a among the vertices of cell b; the pair must be an edge there
+    edges = _FACE_TANGENT_EDGE[iface_a]                       # (nif, 2)
+    ends = cells[icell_a[:, None, None],
+                 np.stack([_EDGE_TAILS[edges], _EDGE_HEADS[edges]], axis=-1)]
+    local = (cells[icell_b][:, None, None, :] == ends[..., None]).argmax(axis=-1)
+    tang_axis_b = _PAIR_AXIS[local[..., 0], local[..., 1]]
+    tang_sign_b = _PAIR_SIGN[local[..., 0], local[..., 1]]
+    skew = (tang_axis_b < 0).any(axis=1)
+    if skew.any():
+        k = skew.argmax()
+        raise MeshError(
+            f"shared face between cells {icell_a[k]} and {icell_b[k]} is not "
+            "an edge-conforming quadrilateral"
+        )
 
     # paired outward vectors must cancel up to rounding; they are then
     # snapped to exact negations (a sub-ulp adjustment) so face exchange
@@ -533,10 +471,10 @@ def build_mesh(vertices, hexes, boundary) -> Mesh:
         iface_b=iface_b,
         tang_axis_b=tang_axis_b,
         tang_sign_b=tang_sign_b,
-        bcell=np.asarray(bc, dtype=np.intp),
-        bface=np.asarray(bf, dtype=np.intp),
-        btag=np.asarray(bt, dtype=np.intp),
-        tags=tuple(tag_names),
+        bcell=single // 6,
+        bface=single % 6,
+        btag=declared[single],
+        tags=tuple(tag_index),
         neighbor_cell=neighbor_cell,
         neighbor_face=neighbor_face,
     )

@@ -339,6 +339,28 @@ class TestMain:
         assert "cells: 2" in out
         assert "boundary faces: 10" in out
 
+    @pytest.mark.parametrize("fault, message", [
+        ("nan", "non-finite vertex coordinate"),
+        ("wedge", "cell 0 has coincident vertices"),
+    ])
+    def test_validate_mesh_rejects_bad_vertices(self, tmp_path, capsys,
+                                                fault, message):
+        corners = [[i & 1, (i >> 1) & 1, (i >> 2) & 1] for i in range(8)]
+        if fault == "nan":
+            corners[5][2] = float("nan")
+        else:
+            corners[6] = corners[7]  # a wedge of volume 2/3
+        path = tmp_path / f"{fault}.mesh"
+        path.write_text(
+            "hexflow-mesh 1\n8 1 6\n"
+            + "".join(f"{x} {y} {z}\n" for x, y, z in corners)
+            + "0 1 2 3 4 5 6 7\n"
+            + "".join(f"0 {f} wall\n" for f in range(6)))
+        assert cli.main(["validate-mesh", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "mesh OK" not in captured.out
+        assert captured.err.strip() == f"error: {path}: {message}"
+
     def test_validate_mesh_missing_file(self, tmp_path, capsys):
         assert cli.main(["validate-mesh", str(tmp_path / "nope.mesh")]) == 1
         assert "error" in capsys.readouterr().err

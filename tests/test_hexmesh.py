@@ -6,10 +6,12 @@ cross products for faces, and a six-tetrahedron decomposition around the
 main diagonal for volumes.
 """
 
+import re
+
 import numpy as np
 import pytest
 
-from conftest import UNIT_CUBE, box_mesh, jitter_warp, random_hex
+from conftest import UNIT_CUBE, boundary_list, box_mesh, jitter_warp, random_hex
 from hexflow.errors import (
     DegenerateCellError,
     InvertedCellError,
@@ -22,7 +24,6 @@ from hexflow.hexmesh import (
     FACE_CORNERS,
     FACE_PARITY,
     build_mesh,
-    cell_geometry,
     compute_edge_vectors,
     compute_face_vectors,
     compute_gamma,
@@ -55,6 +56,15 @@ def oracle_volume_tets(verts):
         m = np.stack([verts[a] - verts[0], verts[b] - verts[0], verts[7] - verts[0]])
         total += np.linalg.det(m) / 6.0
     return total
+
+
+def one_cell(verts):
+    """Single-cell mesh with all six faces declared as boundary."""
+    return build_mesh(verts, [list(range(8))], [(0, f, "wall") for f in range(6)])
+
+
+def node_vectors(verts):
+    return compute_node_vectors(compute_edge_vectors(verts))
 
 
 def test_edge_table_shape():
@@ -96,20 +106,22 @@ def test_node_vectors_join_opposite_face_centroids():
     # exactly b[mu]; the connection formulas lean on this identity
     rng = np.random.default_rng(13)
     for _ in range(20):
-        g = cell_geometry(random_hex(rng))
+        v = random_hex(rng)
+        m = one_cell(v)
+        b = node_vectors(v)
         for mu in range(3):
-            gap = g.face_centroids[2 * mu + 1] - g.face_centroids[2 * mu]
-            assert np.allclose(gap, g.node_vecs[mu], rtol=1e-13, atol=1e-14)
+            gap = m.face_centroids[0, 2 * mu + 1] - m.face_centroids[0, 2 * mu]
+            assert np.allclose(gap, b[mu], rtol=1e-13, atol=1e-14)
         assert np.allclose(
-            g.face_centroids - g.centroid,
-            0.5 * FACE_PARITY[:, None] * -g.node_vecs[FACE_AXIS],
+            m.face_centroids[0] - m.centroids[0],
+            0.5 * FACE_PARITY[:, None] * -b[FACE_AXIS],
             rtol=1e-12,
             atol=1e-13,
         )
 
 
 def test_face_vectors_unit_cube():
-    g = cell_geometry(UNIT_CUBE)
+    m = one_cell(UNIT_CUBE)
     expect = np.array(
         [
             [-1, 0, 0], [1, 0, 0],
@@ -118,8 +130,9 @@ def test_face_vectors_unit_cube():
         ],
         dtype=float,
     )
-    assert np.allclose(g.face_vecs, expect, rtol=0, atol=0)
-    assert not g.flipped.any()
+    assert np.allclose(m.face_vecs[0], expect, rtol=0, atol=0)
+    _, flipped = compute_face_vectors(compute_edge_vectors(UNIT_CUBE))
+    assert not flipped.any()
 
 
 def test_face_vectors_match_diagonal_cross_product():
@@ -144,9 +157,9 @@ def test_face_vectors_flip_on_mirrored_cell():
 def test_surface_closes():
     rng = np.random.default_rng(15)
     for _ in range(50):
-        g = cell_geometry(random_hex(rng))
-        gap = np.abs(g.face_vecs.sum(axis=0)).max()
-        assert gap <= 1e-12 * np.linalg.norm(g.face_vecs, axis=1).max()
+        fv = one_cell(random_hex(rng)).face_vecs[0]
+        gap = np.abs(fv.sum(axis=0)).max()
+        assert gap <= 1e-12 * np.linalg.norm(fv, axis=1).max()
 
 
 def test_volume_unit_and_affine():
@@ -181,26 +194,27 @@ def test_inverted_cell_rejected():
 def test_coincident_vertices_rejected():
     bad = UNIT_CUBE.copy()
     bad[6] = bad[7]
-    with pytest.raises(DegenerateCellError):
-        cell_geometry(bad)
+    with pytest.raises(DegenerateCellError, match="cell 0 has coincident vertices"):
+        one_cell(bad)
 
 
 def test_flat_cell_rejected():
     flat = UNIT_CUBE.copy()
     flat[:, 2] = 0.0
     with pytest.raises(DegenerateCellError):
-        cell_geometry(flat)
+        one_cell(flat)
 
 
 def test_gamma_inverts_node_matrix():
     rng = np.random.default_rng(17)
     for _ in range(50):
-        g = cell_geometry(random_hex(rng))
-        assert np.allclose(g.gamma @ g.node_vecs, np.eye(3), rtol=0, atol=1e-12)
+        v = random_hex(rng)
+        gamma = one_cell(v).gamma[0]
+        assert np.allclose(gamma @ node_vectors(v), np.eye(3), rtol=0, atol=1e-12)
 
 
 def test_s_coeffs_unit_cube():
-    g = cell_geometry(UNIT_CUBE)
+    m = one_cell(UNIT_CUBE)
     expect = np.array(
         [
             [-1, 0, 0], [1, 0, 0],
@@ -209,7 +223,7 @@ def test_s_coeffs_unit_cube():
         ],
         dtype=float,
     )
-    assert np.allclose(g.s_coeffs, expect, rtol=0, atol=1e-15)
+    assert np.allclose(m.s_coeffs[0], expect, rtol=0, atol=1e-15)
 
 
 def test_s_coeffs_contract_gradients():
@@ -217,12 +231,13 @@ def test_s_coeffs_contract_gradients():
     # the flux of the corresponding uniform gradient through face f
     rng = np.random.default_rng(18)
     for _ in range(30):
-        g = cell_geometry(random_hex(rng))
+        v = random_hex(rng)
+        m = one_cell(v)
         a = rng.standard_normal(3)
-        d = g.node_vecs @ a
+        d = node_vectors(v) @ a
         for f in range(6):
-            want = g.face_vecs[f] @ a
-            got = g.s_coeffs[f] @ d
+            want = m.face_vecs[0, f] @ a
+            got = m.s_coeffs[0, f] @ d
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -230,20 +245,20 @@ def test_scaling_laws():
     rng = np.random.default_rng(19)
     v = random_hex(rng)
     lam = 3.7
-    g1 = cell_geometry(v)
-    g2 = cell_geometry(lam * v)
+    g1 = one_cell(v)
+    g2 = one_cell(lam * v)
     assert np.allclose(g2.face_vecs, lam**2 * g1.face_vecs, rtol=1e-12)
     assert np.allclose(g2.gamma, g1.gamma / lam, rtol=1e-12)
     assert np.allclose(g2.s_coeffs, lam * g1.s_coeffs, rtol=1e-12)
-    assert np.isclose(g2.volume, lam**3 * g1.volume, rtol=1e-12)
+    assert np.isclose(g2.volumes[0], lam**3 * g1.volumes[0], rtol=1e-12)
 
 
 def test_pair_coeff_negative_on_valid_cells():
     rng = np.random.default_rng(20)
     for _ in range(50):
-        g = cell_geometry(random_hex(rng))
+        s_coeffs = one_cell(random_hex(rng)).s_coeffs[0]
         for f in range(6):
-            coeff = 2.0 * FACE_PARITY[f] * g.s_coeffs[f, FACE_AXIS[f]]
+            coeff = 2.0 * FACE_PARITY[f] * s_coeffs[f, FACE_AXIS[f]]
             assert coeff < 0.0
 
 
@@ -307,6 +322,77 @@ def test_bad_vertex_reference_rejected():
 def test_repeated_vertex_id_rejected():
     with pytest.raises(DegenerateCellError):
         build_mesh(UNIT_CUBE, [[0, 1, 2, 3, 4, 5, 6, 6]], [])
+
+
+def test_non_finite_vertex_rejected():
+    for value in (np.nan, np.inf):
+        verts = UNIT_CUBE.copy()
+        verts[3, 1] = value
+        with pytest.raises(MeshError, match="non-finite vertex coordinate"):
+            one_cell(verts)
+
+
+def test_coincident_vertices_in_mesh_name_the_cell():
+    m = box_mesh(3, 1, 1)
+    verts = m.verts.copy()
+    # move vertex 6 of the last cell onto its vertex 7: a valid-looking
+    # wedge that every other check lets through
+    verts[m.cells[2, 6]] = verts[m.cells[2, 7]]
+    with pytest.raises(DegenerateCellError, match="cell 2 has coincident vertices"):
+        build_mesh(verts, m.cells, boundary_list(m))
+
+
+def test_boundary_entry_declared_twice_rejected():
+    boundary = [(0, f, "wall") for f in range(6)] + [(0, 3, "lid")]
+    with pytest.raises(MeshError, match=r"boundary face \(0, 3\) declared twice"):
+        build_mesh(UNIT_CUBE, [list(range(8))], boundary)
+
+
+@pytest.mark.parametrize("entry", [(1, 0), (-1, 0), (0, 6), (0, -1)])
+def test_boundary_entry_out_of_range_rejected(entry):
+    c, f = entry
+    boundary = [(0, k, "wall") for k in range(6)] + [(c, f, "wall")]
+    with pytest.raises(MeshError, match=rf"boundary entry \({c}, {f}\) out of range"):
+        build_mesh(UNIT_CUBE, [list(range(8))], boundary)
+
+
+def test_face_shared_by_three_cells_rejected():
+    # a third cell reuses the shared +x face of a 2-cell row and sits on
+    # top of the second cell with vertex ids of its own
+    m = box_mesh(2, 1, 1)
+    extra = np.arange(m.n_vertices, m.n_vertices + 4)
+    far = m.cells[1, [1, 3, 5, 7]]
+    third = m.cells[1].copy()
+    third[[1, 3, 5, 7]] = extra
+    verts = np.vstack([m.verts, m.verts[far]])
+    cells = np.vstack([m.cells, third])
+    shared = tuple(sorted(int(v) for v in m.cells[0, FACE_CORNERS[1]]))
+    boundary = [(c, f, "wall") for c in range(3) for f in range(6)
+                if (c, f) not in ((0, 1), (1, 0), (2, 0))]
+    with pytest.raises(MeshError, match=re.escape(
+            f"vertex quadruple {shared} is shared by 3 faces")):
+        build_mesh(verts, cells, boundary)
+
+
+def test_shared_face_with_crossed_vertex_cycle_rejected():
+    # cell 1 lists the four ids of cell 0's +x face in a bow-tie order
+    # (1, 7, 5, 3 around its -x face), so ids 1 and 7, a diagonal of
+    # cell 0's face, form an edge of cell 1; the face is skewed enough
+    # that both cells are still valid hexahedra
+    verts = np.array([
+        [0.06, -0.06, 0.29], [1.05, -0.24, 0.16], [0.59, 1.43, -0.32],
+        [0.43, 0.72, 0.02], [-1.05, -0.10, 0.44], [0.67, -0.25, 0.86],
+        [0.19, 1.47, 0.94], [1.62, 0.70, 1.16], [2.41, 0.04, -0.34],
+        [1.59, 0.79, 0.10], [1.55, -0.09, 0.93], [2.24, 1.10, 1.16]])
+    boundary = ([(0, f, "wall") for f in (0, 2, 3, 4, 5)]
+                + [(1, f, "wall") for f in (1, 2, 3, 4, 5)])
+    conforming = [1, 8, 3, 9, 5, 10, 7, 11]
+    crossed = [1, 8, 3, 9, 7, 10, 5, 11]
+    mesh = build_mesh(verts, [list(range(8)), conforming], boundary)
+    assert mesh.n_interior_faces == 1
+    with pytest.raises(MeshError, match="shared face between cells 0 and 1 is not "
+                       "an edge-conforming quadrilateral"):
+        build_mesh(verts, [list(range(8)), crossed], boundary)
 
 
 def test_cell_size_is_min_thickness():
