@@ -122,7 +122,12 @@ _COND_LIMIT = 1e8
 
 
 # ---------------------------------------------------------------------------
-# per-cell geometry operations (all accept (..., 8, 3) vertex stacks)
+# per-cell geometry operations (all accept (..., 8, 3) vertex stacks; an
+# error names the first bad cell by its flat index over the leading axes)
+
+def _first(bad: np.ndarray) -> int:
+    return int(np.flatnonzero(bad)[0])
+
 
 def compute_edge_vectors(verts: np.ndarray) -> np.ndarray:
     """Directed edge vectors, shape (..., 12, 3), per the edge table."""
@@ -165,8 +170,9 @@ def compute_face_vectors(edge_vectors: np.ndarray) -> tuple[np.ndarray, np.ndarr
     )
     bad = np.abs(proj) <= 1e-14 * np.maximum(scale, 1e-300)
     if np.any(bad):
+        c, f = divmod(_first(bad), 6)
         raise DegenerateCellError(
-            "face vector orthogonal to its axis node vector "
+            f"face {f} of cell {c} is orthogonal to its axis node vector "
             "(zero-area or collapsed face)"
         )
     flipped = want < 0.0
@@ -194,7 +200,9 @@ def compute_volume(verts: np.ndarray) -> np.ndarray | float:
     t2 = np.einsum("...fi,...fi->...f", c0, np.cross(c2, c3))
     vol = (t1 + t2).sum(axis=-1) / 6.0
     if np.any(vol <= 0.0):
-        raise InvertedCellError("non-positive cell volume (vertex order is wrong-handed)")
+        raise InvertedCellError(
+            f"cell {_first(vol <= 0.0)} has non-positive volume "
+            "(vertex order is wrong-handed)")
     return vol if vol.ndim else float(vol)
 
 
@@ -210,9 +218,11 @@ def compute_gamma(node_vectors: np.ndarray) -> np.ndarray:
     nv = np.asarray(node_vectors, dtype=np.float64)
     sig = np.linalg.svd(nv, compute_uv=False)
     cond = sig[..., 0] / np.where(sig[..., -1] > 0.0, sig[..., -1], np.inf)
-    if np.any(~np.isfinite(cond)) or np.any(cond > _COND_LIMIT):
+    bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
+    if np.any(bad):
         raise DegenerateCellError(
-            f"node-vector matrix condition number exceeds {_COND_LIMIT:g}"
+            f"cell {_first(bad)} has a node-vector matrix condition number "
+            f"above {_COND_LIMIT:g}"
         )
     return np.linalg.inv(nv)
 
@@ -272,6 +282,9 @@ class Mesh:
     neighbor_face: np.ndarray  # (nc, 6), -1 where boundary
 
     _tag_groups: dict = field(default_factory=dict, repr=False)
+    # pressure operator and its aggregation hierarchy, built by the
+    # first pressure solve on this mesh (see pressure.py)
+    _pressure_operator: object = field(default=None, repr=False)
 
     @property
     def n_cells(self) -> int:
@@ -363,8 +376,10 @@ def build_mesh(vertices, hexes, boundary) -> Mesh:
     # closed-surface check: outward vectors of every cell sum to zero
     closure = np.abs(face_vecs.sum(axis=1)).max(axis=1)
     areas0 = np.linalg.norm(face_vecs, axis=2)
-    if np.any(closure > 1e-12 * np.maximum(areas0.max(axis=1), 1e-300)):
-        raise MeshError("cell surface does not close (face vectors do not cancel)")
+    open_cell = closure > 1e-12 * np.maximum(areas0.max(axis=1), 1e-300)
+    if open_cell.any():
+        raise MeshError(f"surface of cell {_first(open_cell)} does not close "
+                        "(face vectors do not cancel)")
 
     declared = np.full(nc * 6, -1, dtype=np.intp)  # tag index per local face
     tag_index: dict[str, int] = {}

@@ -11,11 +11,17 @@ a pure-Neumann Poisson problem (boundary faces carry zero normal
 pressure gradient).  Eliminating the shared port at every interior face
 turns each flux into S = H*(p - p_nb) + C, with H fixed by the mesh and
 C by the in-plane face fluxes.  For a given C the nodal pressures solve
-a symmetric graph Laplacian in H, which Jacobi-preconditioned conjugate
-gradients handles; the face pressures are then re-established, C is
-refreshed and the pass repeats until every cell balances.  On orthogonal
-cells C vanishes and one pass does.  One reference cell is pinned to
-remove the additive constant.  The tolerance is the only setting.
+a symmetric graph Laplacian in H by conjugate gradients, preconditioned
+with one V-cycle over a pairwise-aggregation hierarchy (Notay, ETNA 37,
+2010): cells are lumped about four at a time per level, the algebraic
+twin of the cellular coarse-graining, so one cycle carries the
+large-scale modes that point smoothing moves only slowly.  The
+hierarchy depends on the mesh only and is built once, on the first
+solve, and cached on the mesh.  The face pressures are then
+re-established, C is refreshed and the pass repeats until every cell
+balances.  On orthogonal cells C vanishes and one pass does.  One
+reference cell is pinned to remove the additive constant.  The
+tolerance is the only setting.
 """
 
 import numpy as np
@@ -34,6 +40,12 @@ _SINGULAR_RTOL = 1e-14
 # conjugate gradients needs at most one iteration per active cell in
 # exact arithmetic; a pass that runs past this multiple has stalled
 _STALL_FACTOR = 4
+
+# the aggregation hierarchy stops coarsening at this many rows; that
+# level is solved exactly with a dense pseudo-inverse
+_COARSEST_ROWS = 200
+# damped-Jacobi weight of the V-cycle's smoothing sweeps
+_SMOOTHING = 2.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -111,44 +123,195 @@ def project_port_velocities(mesh, state, tau: float, rho_inf: float) -> None:
 
 
 def _interface_coupling(mesh):
-    """Geometric half of the interface elimination, shape (n_cells, 6).
+    """Geometric half of the interface elimination, one value per pair.
 
     Eliminating the shared port between two cells turns the flux into
-    S = H*(p - p_nb) + C; this returns H, which depends on the mesh only,
-    so the solver hoists it out of its outer loop.  Boundary faces
-    carry zeros (their pressure flux vanishes by the boundary rule).
+    S = H*(p - p_nb) + C; this returns H for every interior face pair,
+    which depends on the mesh only (boundary faces carry none: their
+    pressure flux vanishes by the boundary rule).
     """
-    g = mesh.pair_coeff
-    H = np.zeros_like(g)
-    ga = g[mesh.icell_a, mesh.iface_a]
-    gb = g[mesh.icell_b, mesh.iface_b]
+    ga = mesh.pair_coeff[mesh.icell_a, mesh.iface_a]
+    gb = mesh.pair_coeff[mesh.icell_b, mesh.iface_b]
     den = ga + gb
     bad = np.abs(den) <= _SINGULAR_RTOL * (np.abs(ga) + np.abs(gb))
     if bad.any():
         raise SingularInterfaceError(
             "vanishing combined flux coefficient at an interior face")
-    h = ga * gb / den
-    H[mesh.icell_a, mesh.iface_a] = h
-    H[mesh.icell_b, mesh.iface_b] = h
-    return H
+    return ga * gb / den
 
 
-def _conjugate_gradients(apply, inv_diag, x, b, tol, budget):
-    """Jacobi-preconditioned CG on apply(x) = b, updating x in place.
+class _Level:
+    """Graph Laplacian sum over edges of w*(v_i - v_j), with its smoother.
 
-    Stops once the max-norm residual is at most ``tol`` or after
-    ``budget`` iterations; returns the iterations used.
+    Each edge is stored once in ``ei, ej, w`` and in both directions in
+    ``rows, cols, w2`` for the product.  ``agg`` maps every node to its
+    aggregate on the next level (None on the coarsest).
     """
-    r = b - apply(x)
+
+    def __init__(self, n, ei, ej, w):
+        self.n = n
+        self.ei, self.ej, self.w = ei, ej, w
+        self.rows = np.concatenate([ei, ej])
+        self.cols = np.concatenate([ej, ei])
+        self.w2 = np.concatenate([w, w])
+        self.diag = np.bincount(self.rows, self.w2, n)
+        # isolated nodes get no smoothing update
+        self.smoother = np.divide(_SMOOTHING, self.diag,
+                                  out=np.zeros(n), where=self.diag > 0.0)
+        self.agg = None
+
+    def apply(self, v):
+        return self.diag * v - np.bincount(self.rows, self.w2 * v[self.cols], self.n)
+
+
+def _pair_aggregates(n, ei, ej, w):
+    """Aggregate index per node from one handshake matching.
+
+    A free edge is matched when it is the strongest free edge at both of
+    its ends; sweeps repeat until no free edge is left.  Ties go by a
+    fixed scramble of the edge index (ordering by neighbour index leaves
+    a uniform grid almost unmatched), so the result is deterministic.
+    Unmatched nodes stay alone, except that all isolated nodes share one
+    aggregate.  Aggregates are numbered by their lowest node.
+    """
+    m = len(w)
+    scramble = np.arange(m, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    rank = np.empty(m, dtype=np.intp)
+    rank[np.lexsort((scramble, w))] = np.arange(m)
+    partner = np.full(n, -1)
+    free = np.arange(m)
+    while len(free):
+        a, b, r = ei[free], ej[free], rank[free]
+        best = np.full(n, -1)
+        np.maximum.at(best, a, r)
+        np.maximum.at(best, b, r)
+        hit = (best[a] == r) & (best[b] == r)
+        partner[a[hit]] = b[hit]
+        partner[b[hit]] = a[hit]
+        free = free[(partner[a] < 0) & (partner[b] < 0)]
+    node = np.arange(n)
+    rep = np.where(partner < 0, node, np.minimum(node, partner))
+    isolated = np.bincount(np.concatenate([ei, ej]), minlength=n) == 0
+    if isolated.any():
+        rep[isolated] = isolated.argmax()
+    _, agg = np.unique(rep, return_inverse=True)
+    return agg
+
+
+def _contract(agg, n, ei, ej, w):
+    """Edges of the graph aggregated into n nodes, parallel edges summed."""
+    ci, cj = agg[ei], agg[ej]
+    keep = ci != cj
+    lo = np.minimum(ci, cj)[keep]
+    hi = np.maximum(ci, cj)[keep]
+    key, inv = np.unique(lo * n + hi, return_inverse=True)
+    return key // n, key % n, np.bincount(inv, w[keep])
+
+
+def _pseudo_inverse(level):
+    """Dense pseudo-inverse of a small graph Laplacian.
+
+    Adding a scaled projector onto the constants of every connected
+    component makes the matrix definite; its inverse less that term is
+    the pseudo-inverse.  Gauss-Jordan elimination in numpy needs no
+    LAPACK call, which unpinned BLAS thread pools make slow.
+    """
+    n = level.n
+    A = np.zeros((n, n))
+    np.add.at(A, (level.rows, level.cols), -level.w2)
+    A[np.diag_indices(n)] += level.diag
+    # components by min-label propagation with pointer jumping
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, level.rows, label[level.cols])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    U = (label[:, None] == label[None, :]) / np.bincount(label)[label][:, None]
+    scale = level.diag.max() if level.diag.max() > 0.0 else 1.0
+    A += scale * U
+    for k in range(n):
+        pivot = A[k, k]
+        f = A[:, k].copy()
+        f[k] = 0.0
+        A[:, k] = 0.0
+        A[k, k] = 1.0
+        A[k] /= pivot
+        A -= np.outer(f, A[k])
+    return A - U / scale
+
+
+class _PressureOperator:
+    """Mesh-only part of the pressure solve, built once per mesh.
+
+    ``levels[0]`` is the cell Laplacian with W = -H on every interior
+    pair, positive semi-definite because H is negative on valid cells.
+    Each further level lumps about four aggregates of the one above by
+    two rounds of pairwise matching, and its operator is the aggregated
+    graph's Laplacian, which is P^T A P for the piecewise-constant P.
+    Coarsening stops at ``_COARSEST_ROWS`` rows, solved exactly.
+    """
+
+    def __init__(self, mesh):
+        self.levels = [_Level(mesh.n_cells, mesh.icell_a, mesh.icell_b,
+                              -_interface_coupling(mesh))]
+        while self.levels[-1].n > _COARSEST_ROWS:
+            fine = self.levels[-1]
+            agg, n = np.arange(fine.n), fine.n
+            ei, ej, w = fine.ei, fine.ej, fine.w
+            for _ in range(2):
+                pairs = _pair_aggregates(n, ei, ej, w)
+                n = int(pairs.max()) + 1
+                ei, ej, w = _contract(pairs, n, ei, ej, w)
+                agg = pairs[agg]
+            fine.agg = agg
+            self.levels.append(_Level(n, ei, ej, w))
+        self.coarse_inverse = _pseudo_inverse(self.levels[-1])
+        self.active = self.levels[0].diag > 0.0
+        self.limit = _STALL_FACTOR * int(self.active.sum())
+
+    def apply(self, v):
+        return self.levels[0].apply(v)
+
+    def precondition(self, r, depth=0):
+        """One symmetric V-cycle for A z = r from z = 0: a damped-Jacobi
+        sweep before and after the coarse correction."""
+        if depth == len(self.levels) - 1:
+            return self.coarse_inverse @ r
+        level = self.levels[depth]
+        z = level.smoother * r
+        coarse_r = np.bincount(level.agg, r - level.apply(z))
+        z += self.precondition(coarse_r, depth + 1)[level.agg]
+        z += level.smoother * (r - level.apply(z))
+        return z
+
+
+def _pressure_operator(mesh):
+    """The mesh's cached pressure operator, built on first use."""
+    if mesh._pressure_operator is None:
+        mesh._pressure_operator = _PressureOperator(mesh)
+    return mesh._pressure_operator
+
+
+def _conjugate_gradients(op, x, b, tol, budget):
+    """Conjugate gradients on op.apply(x) = b, updating x in place.
+
+    Preconditioned by one aggregation V-cycle per iteration
+    (``op.precondition``).  Stops once the max-norm residual is at most
+    ``tol`` or after ``budget`` iterations; returns the iterations used.
+    """
+    r = b - op.apply(x)
     # no iteration gets below the rounding of the starting residual
     tol = max(tol, np.finfo(float).eps * np.abs(r).max())
     k = 0
     while k < budget and np.abs(r).max() > tol:
-        z = inv_diag * r
+        z = op.precondition(r)
         rz_next = r @ z
         d = z if k == 0 else z + (rz_next / rz) * d
         rz = rz_next
-        q = apply(d)
+        q = op.apply(d)
         alpha = rz / (d @ q)
         x += alpha * d
         r -= alpha * q
@@ -202,20 +365,8 @@ def pressure_iterate(mesh, state, tau: float, rho_inf: float,
     fp = state.face_p - state.cell_p[0]
 
     g = mesh.pair_coeff
-    nb_cell = np.where(mesh.neighbor_cell < 0, 0, mesh.neighbor_cell)
-    # h = ga*gb/(ga+gb) is negative on valid cells, so CG runs on the
-    # positive semi-definite negation of the flux operator,
-    # sum over faces of W*(p - p_nb)
-    W = -_interface_coupling(mesh)
-    diag = W.sum(axis=1)
-    active = diag > 0.0
-    # cells without interior faces get no update and never move
-    inv_diag = np.divide(1.0, diag, out=np.zeros_like(diag), where=active)
-    limit = _STALL_FACTOR * int(active.sum())
-
-    def apply(v):
-        return diag * v - np.einsum("cf,cf->c", W, v[nb_cell])
-
+    op = _pressure_operator(mesh)
+    active = op.active
     ia, fa = mesh.icell_a, mesh.iface_a
     ib, fb = mesh.icell_b, mesh.iface_b
     ga, gb = g[ia, fa], g[ib, fb]
@@ -239,7 +390,7 @@ def pressure_iterate(mesh, state, tau: float, rho_inf: float,
         target = 0.5 * threshold
         if history:
             target = max(target, 0.1 * resid)
-        k = _conjugate_gradients(apply, inv_diag, p, b, target / tau, limit)
+        k = _conjugate_gradients(op, p, b, target / tau, op.limit)
         iterations += k
         # the in-plane fluxes never see the nodal values, so t feeds the
         # face sweep through sz = t + g*p and is refreshed only after the
@@ -250,7 +401,7 @@ def pressure_iterate(mesh, state, tau: float, rho_inf: float,
         previous = resid
         resid = np.abs(tau * flux.sum(axis=1) - rho_inf * div).max()
         history.append(float(resid))
-        if k >= limit or resid >= previous:
+        if k >= op.limit or resid >= previous:
             break
     fp = fp - p[0]
     p = p - p[0]

@@ -361,6 +361,23 @@ class TestMain:
         assert "mesh OK" not in captured.out
         assert captured.err.strip() == f"error: {path}: {message}"
 
+    def test_validate_mesh_names_the_inverted_cell(self, tmp_path, capsys):
+        mesh = box_mesh(3, 1, 1)
+        path = tmp_path / "inverted.mesh"
+        write_mesh_file(mesh, path)
+        # push vertex 7 of the last cell through the cell
+        lines = path.read_text().splitlines()
+        v7 = int(mesh.cells[2, 7])
+        x, y, z = (float(t) for t in lines[2 + v7].split())
+        lines[2 + v7] = f"{x - 1.5} {y} {z}"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["validate-mesh", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "mesh OK" not in captured.out
+        assert captured.err.strip() == (
+            f"error: {path}: cell 2 has non-positive volume "
+            "(vertex order is wrong-handed)")
+
     def test_validate_mesh_missing_file(self, tmp_path, capsys):
         assert cli.main(["validate-mesh", str(tmp_path / "nope.mesh")]) == 1
         assert "error" in capsys.readouterr().err

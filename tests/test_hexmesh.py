@@ -342,6 +342,37 @@ def test_coincident_vertices_in_mesh_name_the_cell():
         build_mesh(verts, m.cells, boundary_list(m))
 
 
+def thin_last_cell(verts, m):
+    # the +x side of the last cell moves to within 1e-9 of its -x side
+    plus_x = m.cells[2, 1::2]
+    verts[plus_x, 0] = verts[m.cells[2, 0], 0] + 1e-9
+    return verts
+
+
+def push_vertex_7(d):
+    def fault(verts, m):
+        verts[m.cells[2, 7]] += d
+        return verts
+    return fault
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    (push_vertex_7((-1.5, 0.0, 0.0)), InvertedCellError,
+     "cell 2 has non-positive volume"),
+    (push_vertex_7((-1.0, -0.5, 0.0)), DegenerateCellError,
+     r"face \d of cell 2 is orthogonal to its axis node vector"),
+    (thin_last_cell, DegenerateCellError,
+     "cell 2 has a node-vector matrix condition number above 1e"),
+    (push_vertex_7((-1.0, 0.0, 0.0)), MeshError,
+     "surface of cell 2 does not close"),
+], ids=["inverted", "collapsed-face", "ill-conditioned", "open-surface"])
+def test_geometry_errors_name_the_cell(fault, error, message):
+    m = box_mesh(3, 1, 1)
+    verts = fault(m.verts.copy(), m)
+    with pytest.raises(error, match=message):
+        build_mesh(verts, m.cells, boundary_list(m))
+
+
 def test_boundary_entry_declared_twice_rejected():
     boundary = [(0, f, "wall") for f in range(6)] + [(0, 3, "lid")]
     with pytest.raises(MeshError, match=r"boundary face \(0, 3\) declared twice"):

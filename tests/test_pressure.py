@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import hexflow.sim
 from conftest import UNIT_CUBE, box_mesh, jitter_warp, random_hex
+from hexflow import pressure
 from hexflow.errors import PressureConvergenceError
 from hexflow.hexmesh import build_mesh
 from hexflow.pressure import (
@@ -15,7 +17,7 @@ from hexflow.pressure import (
     pressure_residual,
     project_port_velocities,
 )
-from hexflow.sim import annulus_mesh
+from hexflow.sim import annulus_mesh, build_scenario, masked_box_mesh, step
 from hexflow.state import FieldState
 
 
@@ -222,6 +224,43 @@ class TestIterate:
         with pytest.raises(ValueError, match="fresh velocity ports"):
             pressure_iterate(mesh, s, 0.1, 1.0)
 
+    @pytest.mark.parametrize("coarsest", [200, 8])
+    @pytest.mark.parametrize("keep", [
+        lambda i, j, k: i != 4,
+        lambda i, j, k: (i, j, k) not in ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ], ids=["two-pieces", "isolated-cell"])
+    def test_disconnected_mesh_converges(self, monkeypatch, keep, coarsest):
+        # every piece is closed, so each balances on its own; the exact
+        # solve on the coarsest level must handle one constant mode per
+        # piece (and a cell with no interior faces at all)
+        monkeypatch.setattr(pressure, "_COARSEST_ROWS", coarsest)
+        mesh = masked_box_mesh(9, 4, 2, keep=keep)
+        rng = np.random.default_rng(31)
+        s = ported_state(mesh.n_cells)
+        u = np.zeros((mesh.n_cells, 6, 3))
+        u[mesh.icell_a, mesh.iface_a] = rng.normal(size=(mesh.n_interior_faces, 3))
+        u[mesh.icell_b, mesh.iface_b] = u[mesh.icell_a, mesh.iface_a]
+        s.face_u = u
+        flux_scale = np.abs(
+            np.einsum("cfk,cfk->cf", s.face_u, mesh.face_vecs)).max()
+        iters, history = pressure_iterate(mesh, s, 0.1, 1.0,
+                                          PressureSolverConfig(tolerance=1e-8))
+        div = cell_divergence_integral(mesh, s.face_u)
+        r = pressure_residual(mesh, s.cell_p, s.face_p, div, 0.1, 1.0)
+        assert iters > 0
+        assert np.abs(r).max() <= 1e-8 * flux_scale
+        if coarsest < mesh.n_cells:
+            assert len(pressure._pressure_operator(mesh).levels) > 1
+
+    def test_hierarchy_is_built_once_per_mesh(self):
+        mesh = box_mesh(4, 4, 1, lengths=(4.0, 4.0, 1.0))
+        assert mesh._pressure_operator is None
+        pressure_iterate(mesh, self.inject(mesh, cell=5), 0.1, 1.0)
+        op = mesh._pressure_operator
+        assert op is not None
+        pressure_iterate(mesh, self.inject(mesh, cell=9), 0.1, 1.0)
+        assert mesh._pressure_operator is op
+
     def test_warm_start_converges_immediately(self):
         mesh = box_mesh(4, 4, 1, lengths=(4.0, 4.0, 1.0))
         s = self.inject(mesh, cell=9)
@@ -294,3 +333,92 @@ class TestPortProjection:
         before = s.face_u.copy()
         project_port_velocities(mesh, s, 0.1, 1.0)
         assert np.array_equal(s.face_u, before)
+
+
+def dense_laplacian(n, ei, ej, w):
+    A = np.zeros((n, n))
+    np.add.at(A, (ei, ej), -w)
+    np.add.at(A, (ej, ei), -w)
+    A[np.diag_indices(n)] -= A.sum(axis=1)
+    return A
+
+
+HIERARCHY_MESHES = {
+    "jittered-box": lambda: box_mesh(6, 5, 4, warp=jitter_warp(41, 0.02)),
+    "annulus": lambda: annulus_mesh(3, 13, 1.0, 2.0),
+}
+
+
+class TestHierarchy:
+    @pytest.fixture(params=sorted(HIERARCHY_MESHES))
+    def op(self, request, monkeypatch):
+        # small meshes need a low stopping size to get several levels
+        monkeypatch.setattr(pressure, "_COARSEST_ROWS", 6)
+        mesh = HIERARCHY_MESHES[request.param]()
+        op = pressure._PressureOperator(mesh)
+        assert len(op.levels) >= 3
+        return mesh, op
+
+    def test_every_cell_in_exactly_one_aggregate(self, op):
+        _, op = op
+        for fine, coarse in zip(op.levels, op.levels[1:]):
+            assert fine.agg.shape == (fine.n,)
+            assert coarse.n < fine.n
+            assert fine.agg.min() == 0 and fine.agg.max() == coarse.n - 1
+            assert (np.bincount(fine.agg) > 0).all()
+
+    def test_coarse_operators_are_galerkin_products(self, op):
+        mesh, op = op
+        W = -pressure._interface_coupling(mesh)
+        A = dense_laplacian(mesh.n_cells, mesh.icell_a, mesh.icell_b, W)
+        agg = np.arange(mesh.n_cells)
+        for fine, coarse in zip(op.levels, op.levels[1:]):
+            agg = fine.agg[agg]
+            P = np.zeros((mesh.n_cells, coarse.n))
+            P[np.arange(mesh.n_cells), agg] = 1.0
+            want = P.T @ A @ P
+            got = dense_laplacian(coarse.n, coarse.ei, coarse.ej, coarse.w)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.allclose(coarse.diag, np.diag(want), rtol=1e-12, atol=0)
+
+    def test_preconditioner_is_symmetric_and_positive(self, op):
+        mesh, op = op
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            u, v = rng.normal(size=(2, mesh.n_cells))
+            u -= u.mean()
+            v -= v.mean()
+            uMv, vMu = u @ op.precondition(v), v @ op.precondition(u)
+            scale = np.linalg.norm(u) * np.linalg.norm(op.precondition(v))
+            assert abs(uMv - vMu) <= 1e-13 * scale
+            assert u @ op.precondition(u) > 0.0
+
+    def test_builds_are_deterministic(self, op):
+        mesh, op = op
+        again = pressure._PressureOperator(mesh)
+        assert len(again.levels) == len(op.levels)
+        for a, b in zip(op.levels, again.levels):
+            for name in ("ei", "ej", "w", "diag", "agg"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(op.coarse_inverse, again.coarse_inverse)
+
+
+def test_cylinder_iteration_counts(monkeypatch):
+    # Jacobi-preconditioned CG took 230 iterations on step 1 and 165 on
+    # step 11, the repair after the first coarsening event; the counts
+    # are deterministic, so a slip back to O(n) iterations shows here
+    counts = []
+    solve = hexflow.sim.pressure_iterate
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        counts.append(result[0])
+        return result
+
+    monkeypatch.setattr(hexflow.sim, "pressure_iterate", counted)
+    mesh, config, state = build_scenario("cylinder")
+    for k in range(1, 12):
+        step(mesh, state, config, k)
+    assert config.coarsening.period == 10
+    assert counts[0] <= 40
+    assert counts[10] <= 30
